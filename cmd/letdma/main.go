@@ -213,7 +213,7 @@ func commonFlags(fs *flag.FlagSet) *common {
 		solver:  fs.String("solver", "comb", "solver: comb | milp"),
 		timeout: fs.Duration("timeout", 0, "wall-clock budget for the whole command: when it expires the solver stops at the next boundary and reports the incumbent anytime solution (exit code 3); each MILP solve additionally keeps its 60s default time limit (0 = no budget)"),
 		slots:   fs.Int("slots", 0, "MILP transfer slots (0 = |C(s0)|)"),
-		workers: fs.Int("workers", 0, "worker goroutines for experiment fan-out and branch-and-bound (0 = sequential; results are identical for every count)"),
+		workers: fs.Int("workers", 0, "worker goroutines for experiment fan-out and branch-and-bound (0 = sequential depth-first search; N >= 1 = epoch-synchronized search, whose results are identical for every N >= 1)"),
 		fast:    fs.Bool("fast", false, "use the work-stealing FastSearch MILP engine: same certified optimum, faster wall clock, but node order (and which of several tied optima is returned) depends on goroutine scheduling — audit results with 'verify -fast'"),
 		milplog: fs.Bool("milplog", false, "write MILP solver progress and kernel counters (warm hits, cold fallbacks, phase-1 iterations, LU refactorizations, ftran/btran sparsity, eta-file growth) to stderr"),
 	}
@@ -664,7 +664,7 @@ func newVerifyFlags(fs *flag.FlagSet, defaultN int) *verifyFlags {
 		seed:       fs.Int64("seed", 1, "base generator seed (failures reproduce from it)"),
 		n:          fs.Int("n", defaultN, "number of scenarios to check"),
 		family:     fs.String("family", "", "restrict to one scenario family (harmonic | coprime | stars | single-core | saturated | extremes | deep-ties)"),
-		workers:    fs.Int("workers", 0, "worker goroutines for the solvers (0 = sequential; reports are identical for every count)"),
+		workers:    fs.Int("workers", 0, "worker goroutines for the solvers (0 = sequential depth-first MILP; N >= 1 = epoch-synchronized MILP, whose reports are identical for every N >= 1)"),
 		timeout:    fs.Duration("timeout", 5*time.Second, "MILP time limit per instance"),
 		exhaustive: fs.Int64("exhaustive", 0, "brute-force candidate budget (0 = harness default)"),
 		fast:       fs.Bool("fast", false, "also run the FastSearch MILP engine on every tractable instance, gated through the optimality certificate (verify.CheckOptimal)"),

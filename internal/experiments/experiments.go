@@ -69,7 +69,7 @@ type Config struct {
 	Workers int
 	// FastSearch switches the MILP to the nondeterministic work-stealing
 	// engine (milp.Params.FastSearch): same certified optimum, no
-	// bit-identical trajectory, so experiments that pin node or
+	// reproducible trajectory, so experiments that pin node or
 	// iteration counts must leave it off. Callers needing an audited
 	// result gate it through verify.CheckOptimal.
 	FastSearch bool

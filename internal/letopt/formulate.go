@@ -519,7 +519,7 @@ func (f *formulation) addProperty3() {
 func (f *formulation) setObjective() {
 	switch f.obj {
 	case dma.MinTransfers:
-		v := f.m.AddContinuous("maxRGI", 1, float64(f.G))
+		v := f.m.AddInteger("maxRGI", 1, float64(f.G))
 		f.objVar = v
 		for _, id := range f.tasks {
 			f.m.AddGE(fmt.Sprintf("obj4[%d]", id), milp.Sum(1, v).Add(f.rgi[id], -1), 0)

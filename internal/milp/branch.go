@@ -118,34 +118,30 @@ type Params struct {
 	Workers int
 	// FastSearch selects the work-stealing engine (fast.go) instead:
 	// per-worker deques with best-bound-biased stealing, a lock-free
-	// incumbent published by monotonic compare-and-swap, and expanded nodes
-	// solved warm from the parent basis (dual repair + true-cost primal
-	// cleanup) with no epoch barrier. Workers sets the worker count
-	// (minimum 1). The returned optimum and status are exact, but the
-	// trajectory — node order, Nodes, SimplexIters, Kernel counters, and
-	// WHICH of several tied optimal solutions is returned — depends on
-	// goroutine scheduling and is NOT reproducible across runs or worker
-	// counts. Deterministic engines replay; FastSearch certifies: callers
+	// incumbent published by monotonic compare-and-swap, and no epoch
+	// barrier; nodes are solved by the same warm path as the deterministic
+	// engines. Workers sets the worker count (minimum 1). The returned
+	// optimum and status are exact, but the trajectory — node order, Nodes,
+	// SimplexIters, Kernel counters, and WHICH of several tied optimal
+	// solutions is returned — depends on goroutine scheduling and is NOT
+	// reproducible across runs or worker counts. Deterministic engines replay; FastSearch certifies: callers
 	// that need an audited result gate it through verify.CheckOptimal.
 	FastSearch bool
 	// WarmStart, if non-nil, is checked for feasibility and installed as
-	// the initial incumbent.
+	// the initial incumbent. One that already meets the objective's minimum
+	// over the root box is returned as proved optimal without a search.
 	WarmStart []float64
-	// WarmBasis, if non-nil, seeds the root node's dual-simplex warm probe
+	// WarmBasis, if non-nil, seeds the root node's dual-simplex warm solve
 	// with a known basis — typically Solution.RootBasis from a previous
 	// solve of the same model shape. It is validated against the model; an
 	// invalid basis makes Solve return an error.
 	WarmBasis *Basis
-	// DisableWarmStart turns off the dual-simplex warm probes, forcing
-	// every node onto the cold two-phase path. Results are bit-identical
-	// either way; this exists for benchmarking and as an escape hatch.
+	// DisableWarmStart turns off the dual-simplex warm solves, forcing
+	// every node onto the cold two-phase path. The status and optimal
+	// objective are the same either way, but the search may visit other
+	// nodes and return a different one of several tied optima; this exists
+	// for benchmarking and as an escape hatch.
 	DisableWarmStart bool
-	// WarmIterLimit bounds the dual-simplex pivots per warm probe before it
-	// falls back to the cold path; 0 means 300. Far-from-cutoff probes bail
-	// much earlier on the stall guard (see dualFathom), so the budget is
-	// really the patience granted to near-cutoff probes, and a few hundred
-	// pivots is still well below the cost of the cold solve a hit avoids.
-	WarmIterLimit int
 	// BranchPriority, if non-nil, gives per-variable branching priorities
 	// (higher = branch earlier). Among fractional integer variables, the
 	// highest priority tier is branched first; ties break on fractionality.
@@ -201,7 +197,7 @@ type bbNode struct {
 	bound  float64 // parent LP relaxation objective (min sense)
 	depth  int
 	seq    int
-	pbasis *Basis // parent's optimal basis (nil: no warm probe)
+	pbasis *Basis // parent's optimal basis (nil: cold solve)
 }
 
 // searchState is the search context shared by the sequential and the
@@ -209,22 +205,21 @@ type bbNode struct {
 // bounds after presolve, the integer variable set, bound-rounding data and
 // the current incumbent.
 type searchState struct {
-	m          *Model
-	minM       *Model // minimization form of m (== m unless Maximize)
-	p          Params
-	start      time.Time
-	deadline   time.Time
-	objSign    float64
-	lo0, hi0   []float64
-	intVars    []VarID
-	intObjGCD  float64
-	objOffset  float64
-	incumbent  []float64
-	incObj     float64 // minimization objective of incumbent
-	warm       bool    // dual-simplex warm probes enabled
-	warmBudget int     // pivot budget per warm probe
-	stats      KernelStats
-	rootBasis  *Basis
+	m         *Model
+	minM      *Model // minimization form of m (== m unless Maximize)
+	p         Params
+	start     time.Time
+	deadline  time.Time
+	objSign   float64
+	lo0, hi0  []float64
+	intVars   []VarID
+	intObjGCD float64
+	objOffset float64
+	incumbent []float64
+	incObj    float64 // minimization objective of incumbent
+	warm      bool    // dual-simplex warm solves enabled
+	stats     KernelStats
+	rootBasis *Basis
 	// stopCause holds the FIRST recorded StopCause (0 = none). Atomic
 	// because FastSearch workers note causes concurrently; the sequential
 	// and epoch engines pay one uncontended CAS per (rare) stop event.
@@ -239,7 +234,8 @@ func (st *searchState) noteStop(c StopCause) {
 
 // prepSearch normalizes the parameters and builds the shared search state.
 // A non-nil Solution means the search is already decided (presolve proved
-// infeasibility); a non-nil error means the warm start was rejected.
+// infeasibility, or the warm start meets the box bound); a non-nil error
+// means the warm start was rejected.
 func prepSearch(m *Model, p Params, start time.Time) (*searchState, *Solution, error) {
 	if p.IntTol == 0 {
 		p.IntTol = 1e-6
@@ -275,10 +271,9 @@ func prepSearch(m *Model, p Params, start time.Time) (*searchState, *Solution, e
 		}
 	}
 
-	// Minimization form, built once: solveLP and the warm probes are pure
+	// Minimization form, built once: solveLP and warmSolveLP are pure
 	// functions of it, so sharing one copy across nodes (and workers) is
-	// safe and keeps the per-node LP bit-identical to the historical
-	// per-call negation.
+	// safe.
 	st.minM = m
 	if m.ObjSense == Maximize {
 		neg := *m
@@ -289,10 +284,6 @@ func prepSearch(m *Model, p Params, start time.Time) (*searchState, *Solution, e
 		st.minM = &neg
 	}
 	st.warm = !p.DisableWarmStart
-	st.warmBudget = p.WarmIterLimit
-	if st.warmBudget <= 0 {
-		st.warmBudget = 300
-	}
 
 	for _, v := range m.Vars {
 		if v.Type != Continuous {
@@ -301,7 +292,29 @@ func prepSearch(m *Model, p Params, start time.Time) (*searchState, *Solution, e
 	}
 	st.intObjGCD = objIntegerStep(m, st.objSign)
 	st.objOffset = st.objSign * m.Obj.Const
+	// The objective's minimum over the root box bounds every feasible
+	// point, so a warm start that meets it (with the search's prune
+	// tolerance) is optimal without a single LP. An objective-free model
+	// is decided this way by any feasible warm start.
+	if st.incumbent != nil && st.boxBound() > st.incObj-1e-9 {
+		return nil, st.finish(math.Inf(1), 0, 0, false), nil
+	}
 	return st, nil, nil
+}
+
+// boxBound returns the minimum of the minimization objective over the root
+// box, -Inf when a term is unbounded below.
+func (st *searchState) boxBound() float64 {
+	b := st.objOffset
+	for _, t := range st.m.Obj.Terms {
+		switch c := st.objSign * t.Coef; {
+		case c > 0:
+			b += c * st.lo0[t.Var]
+		case c < 0:
+			b += c * st.hi0[t.Var]
+		}
+	}
+	return b
 }
 
 // minObj evaluates x in minimization sense.
@@ -356,9 +369,6 @@ func (st *searchState) tryIncumbent(x []float64) bool {
 // search exhausted the tree).
 func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool) *Solution {
 	bestBound := math.Min(openBound, st.incObj)
-	if st.stats.WarmHits > 0 && st.stats.ColdSolves > 0 {
-		st.stats.Phase1ItersSaved = st.stats.WarmHits * (st.stats.Phase1Iters / st.stats.ColdSolves)
-	}
 	sol := &Solution{
 		Nodes: nodes, SimplexIters: iters, Runtime: time.Since(st.start),
 		Kernel: st.stats, RootBasis: st.rootBasis,
@@ -392,9 +402,9 @@ func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool
 	}
 	logf(st.p.Log, "done: status=%s obj=%.6g bound=%.6g gap=%.3g nodes=%d iters=%d in %v\n",
 		sol.Status, sol.Obj, sol.BestBound, sol.Gap, sol.Nodes, sol.SimplexIters, sol.Runtime)
-	logf(st.p.Log, "kernel: warm_attempts=%d warm_hits=%d cold_solves=%d cold_fallbacks=%d warm_iters=%d phase1_iters=%d phase1_saved=%d refactors=%d\n",
-		st.stats.WarmAttempts, st.stats.WarmHits, st.stats.ColdSolves, st.stats.ColdFallbacks,
-		st.stats.WarmIters, st.stats.Phase1Iters, st.stats.Phase1ItersSaved, st.stats.Refactorizations)
+	logf(st.p.Log, "kernel: warm_attempts=%d warm_hits=%d warm_expands=%d cold_solves=%d cold_fallbacks=%d warm_iters=%d phase1_iters=%d refactors=%d\n",
+		st.stats.WarmAttempts, st.stats.WarmHits, st.stats.WarmExpands, st.stats.ColdSolves, st.stats.ColdFallbacks,
+		st.stats.WarmIters, st.stats.Phase1Iters, st.stats.Refactorizations)
 	logf(st.p.Log, "kernel/lu: ftran=%d ftran_nnz=%d btran=%d btran_nnz=%d etas=%d eta_nnz=%d lu_nnz=%d\n",
 		st.stats.FtranSolves, st.stats.FtranNnz, st.stats.BtranSolves, st.stats.BtranNnz,
 		st.stats.EtaUpdates, st.stats.EtaNnz, st.stats.LuNnz)
@@ -460,7 +470,7 @@ func Solve(m *Model, p Params) (*Solution, error) {
 			continue
 		}
 
-		nr := st.solveNode(node)
+		nr := st.solveNode(node, st.incObj)
 		st.stats.add(nr.stats)
 		res := nr.lpSolution
 		simplexIters += res.iters
@@ -473,8 +483,8 @@ func Solve(m *Model, p Params) (*Solution, error) {
 			st.noteStop(stopCauseOfLP(res.status))
 			hitLimit = true
 		case lpCutoff, lpInfeasible:
-			// lpCutoff: the warm probe fathomed the node against the
-			// incumbent; the cold path would have pruned it after solving.
+			// lpCutoff: the warm solve fathomed the node against the
+			// incumbent.
 			continue
 		case lpUnbounded:
 			if len(st.intVars) == 0 || node.depth == 0 {
@@ -558,10 +568,10 @@ func Solve(m *Model, p Params) (*Solution, error) {
 	return st.finish(ob, nodes, simplexIters, hitLimit), nil
 }
 
-// coldSolve runs the unchanged two-phase simplex on the prebuilt
-// minimization form, including the objective constant so that LP bounds and
-// incumbent objectives compare directly. It is the authoritative path: every
-// expanded node's relaxation comes from here, warm probes or not.
+// coldSolve runs the two-phase simplex on the prebuilt minimization form,
+// including the objective constant so that LP bounds and incumbent
+// objectives compare directly. It solves the root and every node the warm
+// path cannot decide.
 func (st *searchState) coldSolve(lo, hi []float64) lpSolution {
 	res := solveLP(st.minM, lo, hi, st.deadline)
 	if res.status == lpOptimal {
@@ -578,47 +588,40 @@ type nodeResult struct {
 	stats KernelStats
 }
 
-// solveNode resolves one node's relaxation. With a parent basis available it
-// first runs the dual-simplex warm probe, which either fathoms the node
-// (status lpCutoff or lpInfeasible) or defers to the cold path. It reads
-// searchState immutably plus incObj/incumbent, which the engines only write
-// between nodes (sequential) or between batches (epoch merge), so batch
-// members may run concurrently.
-func (st *searchState) solveNode(node *bbNode) nodeResult {
+// solveNode resolves one node's relaxation for every engine. With a parent
+// basis it solves warm (warmSolveLP): a fathom verdict ends the node, a
+// warm optimum is expanded directly, and only a node the warm path cannot
+// decide is cold-solved. cutoff is the incumbent objective (minimization
+// sense, +Inf for none) the warm solve may fathom against. solveNode reads
+// searchState immutably, so the epoch engine's batch members and
+// FastSearch's workers may call it concurrently.
+func (st *searchState) solveNode(node *bbNode, cutoff float64) nodeResult {
 	var nr nodeResult
-	probeIters := 0
+	warmIters := 0
 	if st.warm && node.pbasis != nil {
 		nr.stats.WarmAttempts++
-		incObj := math.Inf(1)
-		if st.incumbent != nil {
-			// The cold path prunes at incObj-1e-9; the extra relative
-			// margin on top of the probe's own (see dualFathom) keeps warm
-			// fathoming strictly inside the cold prune region.
-			incObj = st.incObj
-		}
-		out, iters, ctr := warmProbe(st.minM, node.lo, node.hi, node.pbasis,
-			incObj, st.intObjGCD, st.objOffset, st.warmBudget, st.deadline)
-		nr.stats.WarmIters += iters
-		nr.stats.addCounters(ctr)
-		probeIters = iters
-		switch out {
-		case probeCutoff:
-			nr.stats.WarmHits++
-			nr.lpSolution = lpSolution{status: lpCutoff, iters: iters}
+		res, ok := warmSolveLP(st.minM, node.lo, node.hi, node.pbasis,
+			cutoff, st.intObjGCD, st.objOffset, st.deadline)
+		nr.stats.WarmIters += res.iters
+		nr.stats.addCounters(res.counters)
+		if ok {
+			switch res.status {
+			case lpCutoff, lpInfeasible:
+				nr.stats.WarmHits++
+			case lpOptimal:
+				nr.stats.WarmExpands++
+			}
+			nr.lpSolution = res
 			return nr
-		case probeInfeasible:
-			nr.stats.WarmHits++
-			nr.lpSolution = lpSolution{status: lpInfeasible, iters: iters}
-			return nr
-		case probeFallback:
-			nr.stats.ColdFallbacks++
 		}
+		nr.stats.ColdFallbacks++
+		warmIters = res.iters
 	}
 	res := st.coldSolve(node.lo, node.hi)
 	nr.stats.ColdSolves++
 	nr.stats.Phase1Iters += res.phase1Iters
 	nr.stats.addCounters(res.counters)
-	res.iters += probeIters
+	res.iters += warmIters
 	nr.lpSolution = res
 	return nr
 }

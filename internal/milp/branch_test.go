@@ -499,3 +499,47 @@ func TestLargeRandomLPStability(t *testing.T) {
 		}
 	}
 }
+
+// TestBoxBoundDecidesWarmStart: a feasible warm start that meets the
+// objective's minimum over the root box is optimal, so every engine returns
+// it proved (StopNone, gap 0) without expanding a node. With an empty
+// objective any feasible warm start qualifies; with a real one only a warm
+// start at the box minimum does, and any other goes to the search.
+func TestBoxBoundDecidesWarmStart(t *testing.T) {
+	m := NewModel()
+	x := m.AddInteger("x", 0, 5)
+	y := m.AddInteger("y", 1, 5)
+	m.AddLE("c", Sum(1, x, y), 6)
+	m.AddGE("d", NewExpr(0).Add(x, 2).Add(y, -1), -1)
+
+	engines := []Params{{}, {Workers: 2}, {FastSearch: true, Workers: 2}}
+	cases := []struct {
+		name   string
+		obj    Expr
+		sense  ObjSense
+		warm   []float64
+		decide bool
+	}{
+		{"zero objective", NewExpr(0), Minimize, []float64{3, 2}, true},
+		{"constant objective", NewExpr(7), Maximize, []float64{3, 2}, true},
+		{"at the box minimum", NewExpr(0).Add(x, 1).Add(y, 1), Minimize, []float64{0, 1}, true},
+		{"above the box minimum", NewExpr(0).Add(x, 1).Add(y, 1), Minimize, []float64{3, 2}, false},
+	}
+	for _, tc := range cases {
+		for _, p := range engines {
+			m.SetObjective(tc.sense, tc.obj)
+			p.WarmStart = tc.warm
+			sol := mustSolve(t, m, p)
+			if sol.Status != StatusOptimal || sol.StopCause != StopNone || sol.Gap != 0 {
+				t.Fatalf("%s %+v: status %v stop %v gap %g, want a proof", tc.name, p, sol.Status, sol.StopCause, sol.Gap)
+			}
+			if decided := sol.Nodes == 0 && sol.SimplexIters == 0; decided != tc.decide {
+				t.Fatalf("%s %+v: decided by the box bound = %v (nodes %d, iterations %d), want %v",
+					tc.name, p, decided, sol.Nodes, sol.SimplexIters, tc.decide)
+			}
+			if tc.decide && (math.Abs(sol.X[0]-tc.warm[0]) > 1e-9 || math.Abs(sol.X[1]-tc.warm[1]) > 1e-9) {
+				t.Fatalf("%s %+v: returned %v, want the warm start %v", tc.name, p, sol.X, tc.warm)
+			}
+		}
+	}
+}

@@ -23,11 +23,8 @@ import (
 //     better than the currently published one, so the incumbent objective
 //     only ever decreases (in minimization sense) no matter how races
 //     resolve, and readers always see a fully formed (obj, x) pair.
-//   - Expanded nodes are solved warm from the parent basis (warmSolveLP:
-//     dual repair, then true-cost primal cleanup) instead of re-running the
-//     cold two-phase path, which is what the deterministic engines must do
-//     to stay replay-identical. Fathoming probes and full warm solves share
-//     one dual sweep.
+//   - Nodes are solved by the same warm path as the deterministic engines
+//     (searchState.solveNode), fathoming against the published incumbent.
 //   - There is no epoch barrier: workers proceed independently and
 //     termination is detected by an atomic count of unfinished nodes.
 //
@@ -310,7 +307,9 @@ func (e *fastEngine) process(id int, node *bbNode, ws *fastWorker) {
 		return
 	}
 
-	res := e.solveNode(node, ws)
+	nr := st.solveNode(node, e.cutoff())
+	ws.stats.add(nr.stats)
+	res := nr.lpSolution
 	ws.iters += res.iters
 	switch res.status {
 	case lpTimeLimit, lpIterLimit, lpNumerical:
@@ -388,49 +387,6 @@ func (e *fastEngine) process(id int, node *bbNode, ws *fastWorker) {
 	e.inflight.Add(-1)
 }
 
-// solveNode resolves one node's relaxation for the FastSearch engine. With a
-// parent basis it runs the full warm solve — which can fathom the node, hand
-// back the exact true-cost LP optimum (the WarmExpands path the
-// deterministic engines cannot take), or fall back — before the cold path.
-func (e *fastEngine) solveNode(node *bbNode, ws *fastWorker) lpSolution {
-	st := e.st
-	probeIters := 0
-	if st.warm && node.pbasis != nil {
-		ws.stats.WarmAttempts++
-		sol, out := warmSolveLP(st.minM, node.lo, node.hi, node.pbasis,
-			e.cutoff(), st.intObjGCD, st.objOffset, st.warmBudget, st.deadline)
-		ws.stats.WarmIters += sol.iters
-		ws.stats.addCounters(sol.counters)
-		switch out {
-		case probeCutoff, probeInfeasible:
-			ws.stats.WarmHits++
-			return sol
-		case probeOpen:
-			// lpOptimal (the warm-expand path the deterministic engines
-			// cannot take) or lpUnbounded from a primal-feasible basis;
-			// both are authoritative.
-			if sol.status == lpOptimal {
-				ws.stats.WarmExpands++
-				sol.obj += st.objOffset
-			}
-			return sol
-		}
-		// probeFallback: an expired deadline is final, anything else goes to
-		// the cold path undecided.
-		if sol.status == lpTimeLimit {
-			return sol
-		}
-		ws.stats.ColdFallbacks++
-		probeIters = sol.iters
-	}
-	res := st.coldSolve(node.lo, node.hi)
-	ws.stats.ColdSolves++
-	ws.stats.Phase1Iters += res.phase1Iters
-	ws.stats.addCounters(res.counters)
-	res.iters += probeIters
-	return res
-}
-
 // solveFast is the FastSearch entry point (Params.FastSearch).
 func solveFast(m *Model, p Params) (*Solution, error) {
 	start := time.Now()
@@ -497,7 +453,6 @@ func solveFast(m *Model, p Params) (*Solution, error) {
 			}
 		}
 	}
-	logf(p.Log, "fast: workers=%d steals=%d warm_expands=%d\n",
-		workers, st.stats.Steals, st.stats.WarmExpands)
+	logf(p.Log, "fast: workers=%d steals=%d\n", workers, st.stats.Steals)
 	return st.finish(ob, nodes, iters, hitLimit), nil
 }

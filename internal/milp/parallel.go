@@ -23,8 +23,9 @@ const epochBatch = 16
 //  2. sorts the open list by (relaxation bound, node sequence) and
 //     dispatches the first epochBatch nodes,
 //  3. resolves the dispatched nodes concurrently — solveNode is a pure
-//     function of (model, bounds, parent basis, dispatch-time incumbent),
-//     so each result is independent of which worker computes it — and
+//     function of (model, bounds, parent basis, dispatch-time incumbent
+//     objective), so each result is independent of which worker computes
+//     it — and
 //  4. merges the results strictly in dispatch order: incumbent updates,
 //     pruning of later batch members, and child creation all happen at
 //     this single merge point, never through a shared atomic.
@@ -119,10 +120,9 @@ func solveEpochs(m *Model, p Params) (*Solution, error) {
 				hitLimit = true
 				continue
 			case lpCutoff, lpInfeasible:
-				// lpCutoff: the warm probe fathomed the node against the
+				// lpCutoff: the warm solve fathomed the node against the
 				// incumbent as of dispatch time, which is never better than
-				// the merge-time incumbent — the cold path would have
-				// pruned it too.
+				// the merge-time incumbent.
 				continue
 			case lpUnbounded:
 				if len(st.intVars) == 0 || node.depth == 0 {
@@ -192,19 +192,20 @@ func solveEpochs(m *Model, p Params) (*Solution, error) {
 	return st.finish(ob, nodes, iters, hitLimit), nil
 }
 
-// solveBatch resolves the dispatched nodes (warm probe plus cold solve as
-// needed; see solveNode) with up to `workers` goroutines and returns the
+// solveBatch resolves the dispatched nodes (warm solve, cold solve on
+// fallback; see solveNode) with up to `workers` goroutines and returns the
 // results indexed like the batch. solveNode only reads search state that is
 // written between batches, so concurrent execution is race-free and the
 // results are independent of which worker computes them.
 func solveBatch(st *searchState, batch []*bbNode, workers int) []nodeResult {
+	cutoff := st.incObj // the dispatch-time incumbent, fixed for the batch
 	results := make([]nodeResult, len(batch))
 	if workers > len(batch) {
 		workers = len(batch)
 	}
 	if workers <= 1 {
 		for i, n := range batch {
-			results[i] = st.solveNode(n)
+			results[i] = st.solveNode(n, cutoff)
 		}
 		return results
 	}
@@ -215,7 +216,7 @@ func solveBatch(st *searchState, batch []*bbNode, workers int) []nodeResult {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = st.solveNode(batch[i])
+				results[i] = st.solveNode(batch[i], cutoff)
 			}
 		}()
 	}

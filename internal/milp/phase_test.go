@@ -52,7 +52,7 @@ func TestPhase1UnboundedSurfacedAsNumerical(t *testing.T) {
 // TestDriveOutArtificials: a degenerate EQ row whose cold-start residual is
 // already zero leaves the phase-1 artificial basic at value zero without a
 // single pivot. The drive-out pass must replace it before the basis is
-// snapshotted, so child warm probes never receive artificial columns.
+// snapshotted, so child warm solves never receive artificial columns.
 func TestDriveOutArtificials(t *testing.T) {
 	m := NewModel()
 	x := m.AddContinuous("x", 0, 5)
@@ -78,20 +78,20 @@ func TestDriveOutArtificials(t *testing.T) {
 		t.Fatalf("snapshot does not validate: %v", err)
 	}
 
-	// Round trip: the snapshot must warm-start a probe on the same box
-	// without hitting the fallback ladder; with no incumbent the probe runs
-	// to primal feasibility and reports the node open.
-	out, _, _ := warmProbe(m, lo, hi, res.basis, math.Inf(1), 0, 0, 300, time.Time{})
-	if out != probeOpen {
-		t.Fatalf("warm probe outcome %v, want probeOpen", out)
+	// Round trip: the snapshot must warm-start a solve on the same box
+	// without hitting the fallback ladder; with no incumbent the warm solve
+	// runs to the same optimum.
+	warm, ok := warmSolveLP(m, lo, hi, res.basis, math.Inf(1), 0, 0, time.Time{})
+	if !ok || warm.status != lpOptimal || math.Abs(warm.obj-res.obj) > 1e-9 {
+		t.Fatalf("warm solve ok=%v status=%v obj=%g, want optimal %g", ok, warm.status, warm.obj, res.obj)
 	}
 }
 
 // TestDriveOutRedundantEQ: with a scaled-duplicate EQ row the basis over
 // the two rows is singular without an artificial, so exactly the redundant
 // row keeps its pinned artificial — and the snapshot must still round-trip
-// through warmProbe (the probe rebuilds the basis with the artificial
-// pinned to zero, which stays factorizable).
+// through warmSolveLP (which rebuilds the basis with the artificial pinned
+// to zero, which stays factorizable).
 func TestDriveOutRedundantEQ(t *testing.T) {
 	m := NewModel()
 	x := m.AddInteger("x", 0, 5)
@@ -115,9 +115,9 @@ func TestDriveOutRedundantEQ(t *testing.T) {
 	if arts > 1 {
 		t.Errorf("%d artificials still basic; only the redundant row may keep one", arts)
 	}
-	out, _, _ := warmProbe(m, lo, hi, res.basis, math.Inf(1), 0, 0, 300, time.Time{})
-	if out != probeOpen {
-		t.Fatalf("warm probe outcome %v, want probeOpen", out)
+	warm, ok := warmSolveLP(m, lo, hi, res.basis, math.Inf(1), 0, 0, time.Time{})
+	if !ok || warm.status != lpOptimal || math.Abs(warm.obj-res.obj) > 1e-9 {
+		t.Fatalf("warm solve ok=%v status=%v obj=%g, want optimal %g", ok, warm.status, warm.obj, res.obj)
 	}
 
 	// End to end, the full search on the model stays correct.

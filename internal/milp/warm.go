@@ -6,24 +6,28 @@ import (
 	"time"
 )
 
-// This file implements the dual-simplex warm path of the branch-and-bound
-// search. A child node differs from its parent by a single tightened
-// variable bound, so the parent's optimal basis stays dual-feasible for the
-// child — the textbook dual-simplex warm start. The warm path is a
-// *bounding probe*, not a replacement solver: it either fathoms the node
-// outright (relaxation bound above the incumbent cutoff, or a trusted
-// infeasibility certificate) or hands the node to the unchanged cold
-// two-phase path. Expanded nodes therefore always come from the exact same
-// floating-point computation as before, which keeps the whole search
-// trajectory — incumbents, bounds, branching decisions, node counts —
-// bit-identical to a cold-only run.
+// This file implements the warm path of the branch-and-bound search, the
+// one every engine uses. A child node differs from its parent by a single
+// tightened variable bound, so the parent's optimal basis stays
+// dual-feasible for the child — the textbook dual-simplex warm start.
+// warmSolveLP rebuilds that basis on the child's box, runs the dual simplex
+// until the node is fathomed (relaxation bound above the incumbent cutoff,
+// or a trusted infeasibility certificate) or primal feasible, and then
+// finishes with a true-cost primal cleanup, so an expanded child never pays
+// a phase 1. Only a node the warm path cannot decide goes to the cold
+// two-phase path. The warm vertex may be a different, equally optimal
+// vertex than the cold one, so warm and cold runs can branch differently;
+// each engine is still a deterministic function of its input.
 //
 // Fallback ladder (any rung drops to the cold path):
 //  1. snapshot does not fit the child's computational form,
 //  2. singular refactorization of the parent basis,
-//  3. numerically unsafe dual pivot (|pivot| < pivotTol),
-//  4. per-probe pivot budget or the solver deadline exhausted,
-//  5. untrusted infeasibility certificate (violation <= certTrust).
+//  3. numerically unsafe pivot (|pivot| < pivotTol),
+//  4. the per-LP iteration cap (maxIters, shared with the cold path),
+//  5. an infeasibility ray that is borderline (violation <= certTrust) or
+//     fails verification against the matrix data (certInfeasible).
+//
+// An expired deadline is not a fallback: it is reported as lpTimeLimit.
 
 const (
 	// certTrust is the minimum primal bound violation for which a
@@ -46,7 +50,7 @@ const (
 )
 
 // Basis is a snapshot of a simplex basis, used to warm-start the
-// dual-simplex probe of child nodes (and, via Params.WarmBasis, re-solves
+// dual-simplex solve of child nodes (and, via Params.WarmBasis, re-solves
 // of the same model). Column indices follow the computational form built by
 // buildLP: structural variables first, then one slack per constraint, then
 // one phase-1 artificial per constraint.
@@ -103,7 +107,7 @@ func (b *Basis) validate(nStruct, rows int) error {
 }
 
 // snapshotBasis captures the current basis of an optimal solve for reuse by
-// child-node warm probes.
+// child-node warm solves.
 func (s *simplexState) snapshotBasis() *Basis {
 	p := s.p
 	b := &Basis{
@@ -127,27 +131,27 @@ func (s *simplexState) snapshotBasis() *Basis {
 
 // KernelStats aggregates simplex-kernel counters across a branch-and-bound
 // solve. They are merged in node dispatch order, so — like the rest of the
-// Solution — they are identical for every Params.Workers value.
+// Solution — they are identical for every run of the same deterministic
+// engine (and, for the epoch engine, for every Params.Workers >= 1).
 type KernelStats struct {
-	// WarmAttempts counts nodes that entered the dual-simplex warm probe.
+	// WarmAttempts counts nodes solved warm from their parent's basis.
 	WarmAttempts int
-	// WarmHits counts probes that fathomed their node (incumbent cutoff or
-	// trusted infeasibility certificate) without a cold solve.
+	// WarmHits counts warm solves that fathomed their node (incumbent
+	// cutoff or trusted infeasibility certificate).
 	WarmHits int
-	// ColdSolves counts full two-phase simplex solves.
+	// ColdSolves counts full two-phase simplex solves: the root, plus every
+	// warm solve that fell back.
 	ColdSolves int
-	// ColdFallbacks counts probes abandoned on the fallback ladder before a
-	// cold solve (numerical safety, pivot budget, deadline).
+	// ColdFallbacks counts warm solves abandoned on the fallback ladder
+	// (numerical safety, iteration cap) before a cold solve.
 	ColdFallbacks int
-	// WarmIters counts dual-simplex pivots spent inside probes.
+	// WarmIters counts simplex pivots spent on the warm path (dual repair
+	// plus primal cleanup).
 	WarmIters int
 	// Phase1Iters counts phase-1 iterations spent by cold solves.
 	Phase1Iters int
-	// Phase1ItersSaved estimates the phase-1 work avoided by warm hits:
-	// WarmHits times the mean phase-1 iterations per cold solve.
-	Phase1ItersSaved int
-	// Refactorizations counts sparse-LU basis rebuilds across all solves and
-	// probes.
+	// Refactorizations counts sparse-LU basis rebuilds across all cold and
+	// warm solves.
 	Refactorizations int
 	// FtranSolves / BtranSolves count sparse forward/backward solves against
 	// the LU + eta-file representation; FtranNnz / BtranNnz accumulate the
@@ -168,9 +172,8 @@ type KernelStats struct {
 	LuNnz int
 	// WarmExpands counts expanded nodes whose relaxation was solved to
 	// true-cost optimality directly from the parent basis (dual repair plus
-	// primal cleanup) instead of the cold two-phase path. Always 0 for the
-	// deterministic engines, which cold-solve every expanded node to stay
-	// replay-identical; only the FastSearch engine takes this path.
+	// primal cleanup) instead of the cold two-phase path. Every engine
+	// takes this path unless Params.DisableWarmStart is set.
 	WarmExpands int
 	// Steals counts work-stealing events (a worker taking a node from
 	// another worker's deque). FastSearch only; 0 otherwise. Like every
@@ -186,7 +189,6 @@ func (k *KernelStats) add(o KernelStats) {
 	k.ColdFallbacks += o.ColdFallbacks
 	k.WarmIters += o.WarmIters
 	k.Phase1Iters += o.Phase1Iters
-	k.Phase1ItersSaved += o.Phase1ItersSaved
 	k.Refactorizations += o.Refactorizations
 	k.FtranSolves += o.FtranSolves
 	k.FtranNnz += o.FtranNnz
@@ -209,52 +211,6 @@ func (k *KernelStats) addCounters(c kernelCounters) {
 	k.EtaUpdates += c.etaUpdates
 	k.EtaNnz += c.etaNnz
 	k.LuNnz += c.luNnz
-}
-
-// probeOutcome is the verdict of one warm probe.
-type probeOutcome int
-
-const (
-	// probeOpen: the probe reached primal feasibility below the cutoff; the
-	// node must be expanded, so it goes to the cold path.
-	probeOpen probeOutcome = iota
-	// probeCutoff: the relaxation bound provably exceeds the incumbent
-	// cutoff; the node is fathomed.
-	probeCutoff
-	// probeInfeasible: a trusted Farkas certificate proves the relaxation
-	// infeasible; the node is fathomed.
-	probeInfeasible
-	// probeFallback: the probe hit the fallback ladder; the node goes to
-	// the cold path undecided.
-	probeFallback
-)
-
-// warmProbe rebuilds the parent basis on the child's bounds and runs the
-// bounded-variable dual simplex until it can fathom the node or must give
-// up. minM is the minimization form of the model; incObj, gcdStep and
-// objOffset mirror the cold path's pruning arithmetic so a warm fathom
-// implies a cold prune. It returns the verdict plus the pivot count and the
-// probe's linear-algebra counters.
-func warmProbe(minM *Model, lo, hi []float64, snap *Basis, incObj, gcdStep, objOffset float64, budget int, deadline time.Time) (probeOutcome, int, kernelCounters) {
-	p := buildLP(minM, lo, hi)
-
-	// Same exact empty-box check as solveLP: fathoming here cannot diverge
-	// from the cold path.
-	for j := 0; j < p.n; j++ {
-		if p.lo[j] > p.hi[j]+feasTol {
-			return probeInfeasible, 0, kernelCounters{}
-		}
-	}
-	s, ok := newWarmState(p, snap)
-	if !ok {
-		var ctr kernelCounters
-		if s != nil {
-			ctr = s.counters
-		}
-		return probeFallback, 0, ctr
-	}
-	out, iters := s.dualFathom(incObj, gcdStep, objOffset, budget, deadline, false)
-	return out, iters, s.counters
 }
 
 // newWarmState rebuilds the parent basis snapshot on an already-built child
@@ -323,85 +279,75 @@ func newWarmState(p *lpProblem, snap *Basis) (*simplexState, bool) {
 	return s, true
 }
 
-// warmSolveLP solves a child node's relaxation from the parent basis all the
-// way to a reportable LP answer, not just a fathoming verdict: the dual
-// simplex repairs primal feasibility (fathoming on the way exactly like
-// warmProbe), then a true-cost primal cleanup runs to optimality and the
-// vertex is reported from a fresh factorization, mirroring solveLP's
-// finalization. Only the FastSearch engine calls this — the deterministic
-// engines must cold-solve expanded nodes to stay replay-identical, because
-// the warm vertex may be a different (equally optimal) vertex than the cold
-// one. Statuses: lpCutoff/lpInfeasible fathom the node, lpOptimal carries
-// x/obj/basis (obj WITHOUT the objective constant, like solveLP),
-// lpTimeLimit surfaces an expired deadline, and anything the warm path
-// cannot decide authoritatively comes back as probeFallback for a cold
-// re-solve.
-func warmSolveLP(minM *Model, lo, hi []float64, snap *Basis, incObj, gcdStep, objOffset float64, budget int, deadline time.Time) (lpSolution, probeOutcome) {
+// warmSolveLP solves a child node's relaxation from the parent basis: the
+// dual simplex repairs primal feasibility, fathoming on the way whenever the
+// certified bound passes cutoff (the incumbent objective, +Inf for none) or
+// a trusted Farkas certificate proves infeasibility; then a true-cost primal
+// cleanup runs to optimality and the vertex is reported from a fresh
+// factorization, mirroring solveLP's finalization. minM is the
+// minimization form of the model; gcdStep and objOffset mirror the search's
+// bound-rounding arithmetic. ok is false when the warm path cannot decide
+// the node (the fallback ladder in the file comment), and the caller must
+// cold-solve it. Otherwise the status is final: lpCutoff or lpInfeasible
+// fathom the node, lpOptimal carries x, basis and obj (objective constant
+// included, like coldSolve), lpUnbounded comes from a primal-feasible
+// basis, and lpTimeLimit reports an expired deadline.
+func warmSolveLP(minM *Model, lo, hi []float64, snap *Basis, cutoff, gcdStep, objOffset float64, deadline time.Time) (sol lpSolution, ok bool) {
 	p := buildLP(minM, lo, hi)
 	for j := 0; j < p.n; j++ {
 		if p.lo[j] > p.hi[j]+feasTol {
-			return lpSolution{status: lpInfeasible}, probeInfeasible
+			return lpSolution{status: lpInfeasible}, true
 		}
 	}
 	s, ok := newWarmState(p, snap)
 	if !ok {
-		var ctr kernelCounters
 		if s != nil {
-			ctr = s.counters
+			sol.counters = s.counters
 		}
-		return lpSolution{counters: ctr}, probeFallback
+		return sol, false
 	}
-	out, iters := s.dualFathom(incObj, gcdStep, objOffset, budget, deadline, true)
-	sol := lpSolution{iters: iters, counters: s.counters}
-	switch out {
-	case probeCutoff:
-		sol.status = lpCutoff
-		return sol, out
-	case probeInfeasible:
-		sol.status = lpInfeasible
-		return sol, out
-	case probeFallback:
-		return sol, out
+	st, iters := s.dualFathom(cutoff, gcdStep, objOffset, deadline)
+	sol = lpSolution{status: st, iters: iters, counters: s.counters}
+	switch st {
+	case lpCutoff, lpInfeasible, lpTimeLimit:
+		return sol, true
+	case lpIterLimit, lpNumerical:
+		return sol, false
 	}
 
-	// probeOpen: the basis is primal feasible. Finish on the TRUE costs —
-	// the dual sweep priced a perturbed objective, so a few primal pivots
-	// may remain before the vertex is optimal for the real one.
-	st2, it2 := s.iterate(p.c, deadline)
-	sol.iters += it2
+	// The basis is primal feasible. Finish on the TRUE costs — the dual
+	// sweep priced a perturbed objective, so a few primal pivots may remain
+	// before the vertex is optimal for the real one.
+	st, it := s.iterate(p.c, deadline)
+	sol.status = st
+	sol.iters += it
 	sol.counters = s.counters
-	switch st2 {
-	case lpTimeLimit:
-		sol.status = lpTimeLimit
-		return sol, probeFallback
-	case lpUnbounded:
-		// Sound from a primal-feasible basis, and the caller's unbounded
-		// handling does not need a vertex.
-		sol.status = lpUnbounded
-		return sol, probeOpen
+	switch st {
+	case lpTimeLimit, lpUnbounded:
+		// Unboundedness is sound from a primal-feasible basis, and the
+		// caller's unbounded handling does not need a vertex.
+		return sol, true
 	case lpIterLimit, lpInfeasible:
 		// lpInfeasible here is iterate's tiny-pivot refactorization failure,
 		// not a feasibility verdict; both cases go to the cold path.
-		return sol, probeFallback
+		return sol, false
 	}
 	// Final cleanup solve, exactly as in solveLP: the reported vertex
 	// carries one FTRAN of rounding, not the eta-file drift.
-	if err := s.refactorize(); err != nil {
-		sol.counters = s.counters
-		return sol, probeFallback
+	err := s.refactorize()
+	sol.counters = s.counters
+	if err != nil {
+		return sol, false
 	}
-	x := make([]float64, p.nStruct)
-	copy(x, s.xval[:p.nStruct])
+	sol.x = make([]float64, p.nStruct)
+	copy(sol.x, s.xval[:p.nStruct])
 	obj := 0.0
 	for j := 0; j < p.n; j++ {
 		obj += p.c[j] * s.xval[j]
 	}
-	sol.status = lpOptimal
-	sol.x = x
-	sol.obj = obj
+	sol.obj = obj + objOffset
 	sol.basis = s.snapshotBasis()
-	sol.counters = s.counters
-	return sol, probeOpen
+	return sol, true
 }
 
 // certBox returns the per-column bounds used by the certificate
@@ -416,8 +362,8 @@ func warmSolveLP(minM *Model, lo, hi []float64, snap *Basis, incObj, gcdStep, ob
 // leave its reduced cost at rounding-noise level rather than exactly zero,
 // and noise times infinity is unbounded. Inequality slacks all have
 // infinite upper bounds, so this is the difference between a dead cutoff
-// test and a working one. The result is cached: probe bounds never change
-// after construction.
+// test and a working one. The result is cached: a warm solve's bounds never
+// change after construction.
 func (s *simplexState) certBox() (lo, hi []float64) {
 	if s.certLo != nil {
 		return s.certLo, s.certHi
@@ -657,39 +603,23 @@ func (s *simplexState) certLowerBound(y []float64) float64 {
 // certificate evaluation against the original matrix data, not the drifted
 // simplex iterates, is what carries the proof.
 //
-// wantSolve disables the far-from-cutoff stall bailout: a fathoming probe
-// that plateaus without a fathom in reach is wasted work, but a full warm
-// solve (warmSolveLP) wants primal feasibility regardless of where the bound
-// sits, so only the pivot budget and the deadline bound it.
-func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int, deadline time.Time, wantSolve bool) (probeOutcome, int) {
+// It returns lpCutoff or lpInfeasible for a fathomed node, lpOptimal once
+// the basis is primal feasible below the cutoff (ready for the true-cost
+// primal cleanup), lpTimeLimit when the deadline expires, and lpIterLimit
+// or lpNumerical when the warm path must hand the node to the cold path.
+func (s *simplexState) dualFathom(cutoff, gcdStep, objOffset float64, deadline time.Time) (lpStatus, int) {
 	p := s.p
 	y := make([]float64, p.m)
 	w := make([]float64, p.m)
 	rho := make([]float64, p.m)
 	sincePivot := 0
-	// Degenerate dual pivots can plateau for long stretches without moving
-	// the bound. When the bound is still far from the cutoff such a probe
-	// will not fathom, so it goes to the cold path early instead of burning
-	// the full budget. Within striking distance — less than about one
-	// representable objective step — plateaus are worth waiting out: on
-	// integer-stepped objectives any real progress rounds up to the cutoff,
-	// so near-cutoff probes keep pivoting until the budget runs out.
-	const stallLimit = 30
-	bestZb, stall := math.Inf(-1), 0
-	stallGap := 0.25 * (1 + math.Abs(incObj))
-	if gcdStep > 0 {
-		stallGap = 1.5 * gcdStep
-	}
-	if math.IsInf(incObj, 1) {
-		stallGap = 0
-	}
 
 	for iters := 0; ; iters++ {
-		if iters >= budget {
-			return probeFallback, iters
+		if iters >= maxIters {
+			return lpIterLimit, iters
 		}
 		if !deadline.IsZero() && iters%deadlinePollEvery == 0 && time.Now().After(deadline) {
-			return probeFallback, iters
+			return lpTimeLimit, iters
 		}
 
 		// Dual values y = B^-T c_B for the (perturbed) phase-2 costs.
@@ -701,20 +631,13 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 		// Lower bound of the node relaxation, certified against the
 		// original matrix data for the current (possibly drifted) duals.
 		zb := s.certLowerBound(y) + objOffset
-		zbRaw := zb
 		if gcdStep > 0 {
 			zb = roundBoundUp(zb, gcdStep, objOffset)
 		}
-		// Same prune threshold as the cold path, applied to a bound that is
-		// (margin included) below the true relaxation optimum: if the probe
-		// fathoms, the cold path would have pruned the node too.
-		if zb > incObj-1e-9 {
-			return probeCutoff, iters
-		}
-		if zbRaw > bestZb+1e-12*(1+math.Abs(bestZb)) {
-			bestZb, stall = zbRaw, 0
-		} else if stall++; !wantSolve && stall > stallLimit && incObj-zb > stallGap {
-			return probeFallback, iters
+		// Same prune threshold as the search, applied to a bound that is
+		// (margin included) below the true relaxation optimum.
+		if zb > cutoff-1e-9 {
+			return lpCutoff, iters
 		}
 
 		// Leaving row: worst primal bound violation; ties keep the first
@@ -734,7 +657,7 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 		}
 		if r == -1 {
 			// Primal feasible below the cutoff: the node must be expanded.
-			return probeOpen, iters
+			return lpOptimal, iters
 		}
 		bv := s.basis[r]
 		// Pivot row r of B^-1 A, gathered sparsely through one BTRAN and the
@@ -799,9 +722,9 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 			// borderline or unverifiable cases go to the cold path for an
 			// authoritative phase-1 answer.
 			if worst > certTrust && s.certInfeasible(rho) {
-				return probeInfeasible, iters
+				return lpInfeasible, iters
 			}
-			return probeFallback, iters
+			return lpNumerical, iters
 		}
 
 		// Pivot: w = B^-1 A_enter, step the entering variable so the
@@ -814,7 +737,7 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 		}
 		s.rep.ftran(w)
 		if math.Abs(w[r]) < pivotTol {
-			return probeFallback, iters
+			return lpNumerical, iters
 		}
 		t := (s.xval[bv] - target) / w[r]
 		for i := 0; i < p.m; i++ {
@@ -831,7 +754,7 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 		if sincePivot >= refactor {
 			sincePivot = 0
 			if err := s.refactorize(); err != nil {
-				return probeFallback, iters + 1
+				return lpNumerical, iters + 1
 			}
 		}
 	}

@@ -1,8 +1,9 @@
 package verify
 
 import (
-	"reflect"
+	"math"
 	"testing"
+	"time"
 
 	"letdma/internal/dma"
 	"letdma/internal/let"
@@ -13,12 +14,12 @@ import (
 
 // TestWarmColdScenarioEquivalence runs the full Section-VI MILP on
 // generated scenarios with the dual-simplex warm path enabled and disabled,
-// for several worker counts, and requires identical outcomes end to end:
-// status, objective, bound, node count and the decoded layout/schedule. The
-// node limit makes truncated searches deterministic, so the comparison is
-// exact even when optimality is not reached; a time limit would make the
-// truncation point wall-clock dependent and the comparison flaky, so none
-// is set.
+// for the sequential engine and the epoch engine at 1 and 4 workers, and
+// holds every run to the same oracle: the reference run's status, an
+// objective within 1e-9 of it, and an incumbent that CheckSolution accepts
+// against Constraints 1-10. Warm and cold runs may branch differently and
+// return different tied optima, so layouts and node counts are not
+// compared.
 func TestWarmColdScenarioEquivalence(t *testing.T) {
 	n := 18
 	if testing.Short() {
@@ -39,38 +40,44 @@ func TestWarmColdScenarioEquivalence(t *testing.T) {
 			continue
 		}
 		if a.NumComms() > 5 {
-			continue // keep the MILP small enough for the worker sweeps
+			continue // keep the MILP small enough for the engine sweeps
 		}
 		covered++
 		gamma := deriveGamma(a, cm, 0.2)
 		for _, obj := range []dma.Objective{dma.MinTransfers, dma.MinDelayRatio} {
-			// Workers 0 exercises the legacy DFS engine, 4 the epoch
-			// engine; Workers invariance within the epoch engine is
-			// already pinned at the milp level.
-			for _, workers := range []int{0, 4} {
-				mk := func(disable bool) *letopt.Result {
+			var ref *letopt.Result
+			for _, workers := range []int{0, 1, 4} {
+				for _, disable := range []bool{false, true} {
 					res, err := letopt.Solve(a, cm, gamma, obj, letopt.Options{
 						MILP: milp.Params{
 							Workers:          workers,
-							MaxNodes:         96,
+							TimeLimit:        time.Minute,
 							DisableWarmStart: disable,
 						},
 					})
 					if err != nil {
 						t.Fatalf("%s/%s workers=%d disable=%v: %v", sc.Name, obj, workers, disable, err)
 					}
-					// Scrub what may legitimately differ between warm and
-					// cold runs of the same trajectory.
-					res.Runtime = 0
-					res.SimplexIters = 0
-					res.Kernel = milp.KernelStats{}
-					return res
-				}
-				cold := mk(true)
-				warm := mk(false)
-				if !reflect.DeepEqual(cold, warm) {
-					t.Fatalf("%s/%s workers=%d: warm solve diverged from cold:\ncold %+v\nwarm %+v",
-						sc.Name, obj, workers, cold, warm)
+					if res.StopCause != milp.StopNone {
+						t.Fatalf("%s/%s workers=%d disable=%v: stopped early (%s)", sc.Name, obj, workers, disable, res.StopCause)
+					}
+					if res.Sched != nil {
+						if vs := CheckSolution(a, cm, res.Layout, res.Sched, gamma); len(vs) > 0 {
+							t.Fatalf("%s/%s workers=%d disable=%v: incumbent rejected:\n%v", sc.Name, obj, workers, disable, vs)
+						}
+					}
+					if ref == nil {
+						ref = res
+						continue
+					}
+					if res.Status != ref.Status || (res.Sched == nil) != (ref.Sched == nil) {
+						t.Fatalf("%s/%s workers=%d disable=%v: status %s (schedule %v), reference %s (schedule %v)",
+							sc.Name, obj, workers, disable, res.Status, res.Sched != nil, ref.Status, ref.Sched != nil)
+					}
+					if res.Sched != nil && math.Abs(res.Objective-ref.Objective) > 1e-9 {
+						t.Fatalf("%s/%s workers=%d disable=%v: objective %.17g, reference %.17g",
+							sc.Name, obj, workers, disable, res.Objective, ref.Objective)
+					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package waters
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -162,6 +163,26 @@ func TestAutomotiveGenerator(t *testing.T) {
 		}
 		if _, err := let.Analyze(sys); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// TestAutomotiveDeterministic: Automotive is a function of its rng, so one
+// seed yields the same system on every call. The WCET draws once ranged
+// over a map of cores, whose iteration order is randomized per call.
+func TestAutomotiveDeterministic(t *testing.T) {
+	gen := func() []byte {
+		sys := Automotive(rand.New(rand.NewSource(23)), AutomotiveOptions{})
+		var buf bytes.Buffer
+		if err := sys.ToJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := gen()
+	for call := 1; call < 20; call++ {
+		if got := gen(); !bytes.Equal(got, want) {
+			t.Fatalf("call %d: same seed produced a different system:\n%s\nvs\n%s", call, got, want)
 		}
 	}
 }
