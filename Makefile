@@ -35,9 +35,9 @@ letvet:
 # the solver trajectory changed); `make bench-update` refreshes the
 # snapshot after an intentional kernel change.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelBnB|BenchmarkWarmStartBnB|BenchmarkFastSearchBnB' -benchtime 1x -count 3 . | tee bench.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkWarmStartBnB|BenchmarkFastSearchBnB' -benchtime 1x -count 3 . | tee bench.txt
 	$(GO) run ./cmd/benchjson -diff BENCH_milp.json bench.txt
 
 bench-update:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelBnB|BenchmarkWarmStartBnB|BenchmarkFastSearchBnB' -benchtime 1x -count 3 . | tee bench.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkWarmStartBnB|BenchmarkFastSearchBnB' -benchtime 1x -count 3 . | tee bench.txt
 	$(GO) run ./cmd/benchjson -o BENCH_milp.json bench.txt

@@ -113,8 +113,8 @@ func runInterrupted(t *testing.T, args ...string) int {
 }
 
 // TestInterruptExitCode: an interrupted MILP solve still reports the
-// incumbent anytime solution and exits with the distinct code 3, for
-// both the sequential and parallel search engines. A command that errors
+// incumbent anytime solution and exits with the distinct code 3, with the
+// Table I cells run in turn and fanned out. A command that errors
 // keeps exit code 1 even when interrupted.
 func TestInterruptExitCode(t *testing.T) {
 	for _, w := range []string{"0", "2"} {
@@ -196,16 +196,17 @@ func runInterruptedCapture(t *testing.T, args ...string) (int, string) {
 
 // TestInterruptFlushesIncumbent: the exit-code-3 path is only useful if
 // the anytime solution actually reached stdout before the process died.
-// For the deterministic engines AND FastSearch, an interrupted schedule
-// solve must still print the full layout + transfer-schedule report of
-// the incumbent (here the combopt warm start, which seeds both engines).
+// For the deterministic engine (at any -workers) AND FastSearch, an
+// interrupted schedule solve must still print the full layout +
+// transfer-schedule report of the incumbent (here the combopt warm start,
+// which seeds both engines).
 func TestInterruptFlushesIncumbent(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string
 	}{
 		{"sequential", []string{"schedule", "-lite", "-solver", "milp", "-workers", "0"}},
-		{"epoch", []string{"schedule", "-lite", "-solver", "milp", "-workers", "2"}},
+		{"sequential-workers2", []string{"schedule", "-lite", "-solver", "milp", "-workers", "2"}},
 		{"fast", []string{"schedule", "-lite", "-solver", "milp", "-fast", "-workers", "1"}},
 		{"fast-parallel", []string{"schedule", "-lite", "-solver", "milp", "-fast", "-workers", "4"}},
 	} {

@@ -1,5 +1,5 @@
-// Fixture for the sharedwrite analyzer, modeled on the repository's epoch
-// worker pool: closures handed to forEachIndexed run on worker goroutines,
+// Fixture for the sharedwrite analyzer, modeled on the repository's
+// experiment worker pool: closures handed to forEachIndexed run on worker goroutines,
 // so unguarded writes to captured variables depend on goroutine schedule.
 package sharedwrite
 

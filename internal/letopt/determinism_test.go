@@ -162,12 +162,12 @@ func TestRepeatSolveDeterministic(t *testing.T) {
 }
 
 // TestSolveWorkersInvariant solves the same instances with the
-// epoch-synchronized engine at 1 and 4 workers and requires the entire
+// deterministic engine at 0, 1 and 4 workers and requires the entire
 // result — incumbent objective, search statistics, decoded layout and
 // schedule — to be identical: -workers may only change wall-clock time.
 // Searches are warm-started from combopt and node-bounded so the test
 // stays fast; the node limit itself must trip identically per worker
-// count, which exercises the ordered-merge accounting too.
+// count.
 func TestSolveWorkersInvariant(t *testing.T) {
 	cm := dma.DefaultCostModel()
 	cases := []struct {
@@ -202,9 +202,11 @@ func TestSolveWorkersInvariant(t *testing.T) {
 				res.Runtime = 0 // the only field allowed to vary
 				return res
 			}
-			r1, r4 := solveWith(1), solveWith(4)
-			if !reflect.DeepEqual(r1, r4) {
-				t.Errorf("workers=4 result differs from workers=1:\n%+v\nvs\n%+v", r1, r4)
+			r0 := solveWith(0)
+			for _, workers := range []int{1, 4} {
+				if r := solveWith(workers); !reflect.DeepEqual(r0, r) {
+					t.Errorf("workers=%d result differs from workers=0:\n%+v\nvs\n%+v", workers, r0, r)
+				}
 			}
 		})
 	}

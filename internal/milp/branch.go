@@ -108,24 +108,22 @@ type Params struct {
 	GapTol float64
 	// IntTol is the integrality tolerance (default 1e-6).
 	IntTol float64
-	// Workers selects the search engine. 0 (the default) runs the
-	// sequential depth-first search. n >= 1 runs the epoch-synchronized
-	// search with n concurrent LP workers; its whole trajectory —
-	// incumbent, bound, decoded solution, node and simplex-iteration
-	// counts — is identical for every n, because nodes are dispatched in
-	// best-bound order in fixed-size epochs and merged in dispatch order
-	// (see parallel.go).
+	// Workers is the FastSearch worker count (minimum 1). The default
+	// engine is a sequential depth-first search that never reads it, so its
+	// whole trajectory — incumbent, bound, decoded solution, node and
+	// simplex-iteration counts — is the same at every worker count.
 	Workers int
-	// FastSearch selects the work-stealing engine (fast.go) instead:
-	// per-worker deques with best-bound-biased stealing, a lock-free
-	// incumbent published by monotonic compare-and-swap, and no epoch
-	// barrier; nodes are solved by the same warm path as the deterministic
-	// engines. Workers sets the worker count (minimum 1). The returned
-	// optimum and status are exact, but the trajectory — node order, Nodes,
-	// SimplexIters, Kernel counters, and WHICH of several tied optimal
-	// solutions is returned — depends on goroutine scheduling and is NOT
-	// reproducible across runs or worker counts. Deterministic engines replay; FastSearch certifies: callers
-	// that need an audited result gate it through verify.CheckOptimal.
+	// FastSearch selects the work-stealing engine (fast.go) instead of the
+	// depth-first search: per-worker deques with best-bound-biased
+	// stealing and a lock-free incumbent published by monotonic
+	// compare-and-swap; nodes are solved by the same warm path as the
+	// deterministic engine. The returned optimum and status are exact, but
+	// the trajectory — node order, Nodes, SimplexIters, Kernel counters,
+	// and WHICH of several tied optimal solutions is returned — depends on
+	// goroutine scheduling and is NOT reproducible across runs or worker
+	// counts. The deterministic engine replays; FastSearch certifies:
+	// callers that need an audited result gate it through
+	// verify.CheckOptimal.
 	FastSearch bool
 	// WarmStart, if non-nil, is checked for feasibility and installed as
 	// the initial incumbent. One that already meets the objective's minimum
@@ -149,10 +147,9 @@ type Params struct {
 	// Log, if non-nil, receives progress lines.
 	Log io.Writer
 	// Interrupt, when non-nil, requests a cooperative stop: close the
-	// channel and the search halts at the next node boundary (sequential
-	// engine), epoch boundary (parallel engine), or per-worker node
-	// boundary (FastSearch, where every worker loop polls it), returning
-	// the incumbent anytime solution (StatusFeasible plus its gap) exactly
+	// channel and the search halts at the next node boundary (per worker
+	// under FastSearch, where every worker loop polls it), returning the
+	// incumbent anytime solution (StatusFeasible plus its gap) exactly
 	// as if the time limit had expired. letdma wires SIGINT to this.
 	Interrupt <-chan struct{}
 }
@@ -196,14 +193,13 @@ type bbNode struct {
 	lo, hi []float64
 	bound  float64 // parent LP relaxation objective (min sense)
 	depth  int
-	seq    int
 	pbasis *Basis // parent's optimal basis (nil: cold solve)
 }
 
-// searchState is the search context shared by the sequential and the
-// epoch-synchronized engines: the minimization form of the model, the root
-// bounds after presolve, the integer variable set, bound-rounding data and
-// the current incumbent.
+// searchState is the search context shared by the depth-first search and
+// FastSearch: the minimization form of the model, the root bounds after
+// presolve, the integer variable set, bound-rounding data and the current
+// incumbent.
 type searchState struct {
 	m         *Model
 	minM      *Model // minimization form of m (== m unless Maximize)
@@ -221,8 +217,8 @@ type searchState struct {
 	stats     KernelStats
 	rootBasis *Basis
 	// stopCause holds the FIRST recorded StopCause (0 = none). Atomic
-	// because FastSearch workers note causes concurrently; the sequential
-	// and epoch engines pay one uncontended CAS per (rare) stop event.
+	// because FastSearch workers note causes concurrently; the depth-first
+	// search pays one uncontended CAS per (rare) stop event.
 	stopCause atomic.Int32
 }
 
@@ -411,13 +407,11 @@ func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool
 	return sol
 }
 
-// Solve minimizes or maximizes the model by LP-based branch and bound.
+// Solve minimizes or maximizes the model by LP-based branch and bound:
+// a sequential depth-first search unless p.FastSearch is set.
 func Solve(m *Model, p Params) (*Solution, error) {
 	if p.FastSearch {
 		return solveFast(m, p)
-	}
-	if p.Workers >= 1 {
-		return solveEpochs(m, p)
 	}
 	start := time.Now()
 	st, early, err := prepSearch(m, p, start)
@@ -427,8 +421,7 @@ func Solve(m *Model, p Params) (*Solution, error) {
 
 	nodes := 0
 	simplexIters := 0
-	seq := 0
-	stack := []*bbNode{{lo: st.lo0, hi: st.hi0, bound: math.Inf(-1), depth: 0, seq: seq, pbasis: p.WarmBasis}}
+	stack := []*bbNode{{lo: st.lo0, hi: st.hi0, bound: math.Inf(-1), depth: 0, pbasis: p.WarmBasis}}
 	hitLimit := false
 
 	openBound := func() float64 {
@@ -547,8 +540,7 @@ func Solve(m *Model, p Params) (*Solution, error) {
 			} else {
 				nh[branchVar] = newHi
 			}
-			seq++
-			return &bbNode{lo: nl, hi: nh, bound: lpObj, depth: node.depth + 1, seq: seq, pbasis: res.basis}
+			return &bbNode{lo: nl, hi: nh, bound: lpObj, depth: node.depth + 1, pbasis: res.basis}
 		}
 		down := mk(0, downHi, false)
 		up := mk(upLo, 0, true)
@@ -581,20 +573,19 @@ func (st *searchState) coldSolve(lo, hi []float64) lpSolution {
 }
 
 // nodeResult is one node's relaxation outcome plus the kernel counters it
-// generated, returned separately so the engines can merge counters in
-// dispatch order (keeping them Workers-invariant).
+// generated, returned separately so each FastSearch worker can accumulate
+// them without touching shared state.
 type nodeResult struct {
 	lpSolution
 	stats KernelStats
 }
 
-// solveNode resolves one node's relaxation for every engine. With a parent
+// solveNode resolves one node's relaxation for both engines. With a parent
 // basis it solves warm (warmSolveLP): a fathom verdict ends the node, a
 // warm optimum is expanded directly, and only a node the warm path cannot
 // decide is cold-solved. cutoff is the incumbent objective (minimization
 // sense, +Inf for none) the warm solve may fathom against. solveNode reads
-// searchState immutably, so the epoch engine's batch members and
-// FastSearch's workers may call it concurrently.
+// searchState immutably, so FastSearch's workers may call it concurrently.
 func (st *searchState) solveNode(node *bbNode, cutoff float64) nodeResult {
 	var nr nodeResult
 	warmIters := 0

@@ -174,6 +174,26 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 	}
 }
 
+// TestMaxNodesLimit: the node budget stops the search exactly at the limit
+// and reports a budget stop, not a decision.
+func TestMaxNodesLimit(t *testing.T) {
+	m := NewModel()
+	e := NewExpr(0)
+	for i := 0; i < 14; i++ {
+		v := m.AddBinary("b")
+		e = e.Add(v, float64(3+i%5))
+	}
+	m.AddLE("cap", e, 17.5)
+	m.SetObjective(Maximize, e)
+	sol := mustSolve(t, m, Params{MaxNodes: 2})
+	if sol.Nodes > 2 {
+		t.Fatalf("nodes = %d, want the limit of 2 to stop the search", sol.Nodes)
+	}
+	if sol.StopCause != StopLimit {
+		t.Fatalf("StopCause = %v, want limit", sol.StopCause)
+	}
+}
+
 func TestGapTolerance(t *testing.T) {
 	m := NewModel()
 	x := m.AddInteger("x", 0, 1000)
@@ -512,7 +532,7 @@ func TestBoxBoundDecidesWarmStart(t *testing.T) {
 	m.AddLE("c", Sum(1, x, y), 6)
 	m.AddGE("d", NewExpr(0).Add(x, 2).Add(y, -1), -1)
 
-	engines := []Params{{}, {Workers: 2}, {FastSearch: true, Workers: 2}}
+	engines := []Params{{}, {FastSearch: true, Workers: 2}}
 	cases := []struct {
 		name   string
 		obj    Expr

@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements the FastSearch engine (Params.FastSearch): a
-// work-stealing branch and bound that trades the deterministic engines'
+// work-stealing branch and bound that trades the depth-first search's
 // replay-identity for throughput.
 //
 //   - Every worker owns a deque: it pushes and pops children at the tail
@@ -23,17 +23,17 @@ import (
 //     better than the currently published one, so the incumbent objective
 //     only ever decreases (in minimization sense) no matter how races
 //     resolve, and readers always see a fully formed (obj, x) pair.
-//   - Nodes are solved by the same warm path as the deterministic engines
+//   - Nodes are solved by the same warm path as the depth-first search
 //     (searchState.solveNode), fathoming against the published incumbent.
-//   - There is no epoch barrier: workers proceed independently and
-//     termination is detected by an atomic count of unfinished nodes.
+//   - There is no barrier: workers proceed independently and termination
+//     is detected by an atomic count of unfinished nodes.
 //
 // The returned status and optimal objective are exact — every pruning step
-// is justified by the same bound arithmetic as the deterministic engines,
+// is justified by the same bound arithmetic as the depth-first search,
 // and incumbents pass the same CheckFeasible gate — but the trajectory
 // (node order, counters, and which of several tied optima is returned)
-// depends on goroutine scheduling. Deterministic engines replay; FastSearch
-// certifies: audited runs go through verify.CheckOptimal.
+// depends on goroutine scheduling. The depth-first search replays;
+// FastSearch certifies: audited runs go through verify.CheckOptimal.
 
 // fastIncumbent is one published incumbent: immutable after publication, so
 // a Load is always a consistent (obj, x) pair.

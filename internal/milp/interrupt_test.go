@@ -31,16 +31,15 @@ func interruptModel() (*Model, []float64) {
 }
 
 // TestInterruptReturnsIncumbent: a pre-closed Interrupt channel stops
-// every engine at its first boundary check — the sequential and epoch
-// engines at the dispatcher loop head, FastSearch inside each worker's
-// per-node loop — and with a warm start the anytime incumbent comes back
+// both engines at their first boundary check — the depth-first search at
+// its loop head, FastSearch inside each worker's per-node loop — and with a warm start the anytime incumbent comes back
 // as StatusFeasible (or StatusOptimal if the root already proved it)
 // instead of an error or no output.
 func TestInterruptReturnsIncumbent(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		fast    bool
-	}{{0, false}, {2, false}, {1, true}, {4, true}} {
+	}{{0, false}, {1, true}, {4, true}} {
 		m, ws := interruptModel()
 		stop := make(chan struct{})
 		close(stop)
@@ -71,7 +70,7 @@ func TestStopCauseTaxonomy(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		fast    bool
-	}{{0, false}, {2, false}, {2, true}} {
+	}{{0, false}, {2, true}} {
 		m, ws := interruptModel()
 		sol, err := Solve(m, Params{Workers: tc.workers, FastSearch: tc.fast, WarmStart: ws, TimeLimit: time.Nanosecond})
 		if err != nil {

@@ -17,7 +17,7 @@ import (
 // a phase 1. Only a node the warm path cannot decide goes to the cold
 // two-phase path. The warm vertex may be a different, equally optimal
 // vertex than the cold one, so warm and cold runs can branch differently;
-// each engine is still a deterministic function of its input.
+// the depth-first search is still a deterministic function of its input.
 //
 // Fallback ladder (any rung drops to the cold path):
 //  1. snapshot does not fit the child's computational form,
@@ -130,9 +130,9 @@ func (s *simplexState) snapshotBasis() *Basis {
 }
 
 // KernelStats aggregates simplex-kernel counters across a branch-and-bound
-// solve. They are merged in node dispatch order, so — like the rest of the
-// Solution — they are identical for every run of the same deterministic
-// engine (and, for the epoch engine, for every Params.Workers >= 1).
+// solve. The depth-first search merges them in node order, so — like the
+// rest of its Solution — they are identical for every run of the same
+// model, at every Params.Workers; FastSearch's depend on scheduling.
 type KernelStats struct {
 	// WarmAttempts counts nodes solved warm from their parent's basis.
 	WarmAttempts int

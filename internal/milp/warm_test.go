@@ -30,10 +30,9 @@ func checkOracle(t *testing.T, label string, m *Model, ref, got *Solution) {
 	}
 }
 
-// TestWarmColdEquivalence: on the random-model corpus, every deterministic
-// engine (sequential, and epoch at 1 and 4 workers) reaches the same status
-// and optimal objective with warm solves enabled and disabled, and every
-// incumbent is feasible. Warm and cold runs may branch differently, so
+// TestWarmColdEquivalence: on the random-model corpus, the deterministic
+// engine reaches the same status and optimal objective with warm solves
+// enabled and disabled, and every incumbent is feasible. Warm and cold runs may branch differently, so
 // trajectories are not compared.
 func TestWarmColdEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -45,24 +44,22 @@ func TestWarmColdEquivalence(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		m := randomModel(rng)
 		var ref *Solution
-		for _, workers := range []int{0, 1, 4} {
-			for _, disable := range []bool{true, false} {
-				sol := mustSolve(t, m, Params{Workers: workers, DisableWarmStart: disable, TimeLimit: 10 * time.Second})
-				label := fmt.Sprintf("trial %d workers %d disable %v", trial, workers, disable)
-				if ref == nil {
-					ref = sol
-				}
-				checkOracle(t, label, m, ref, sol)
-				k := sol.Kernel
-				if k.WarmHits+k.WarmExpands+k.ColdFallbacks != k.WarmAttempts {
-					t.Fatalf("%s: inconsistent kernel counters %+v", label, k)
-				}
-				if disable && k.WarmAttempts != 0 {
-					t.Fatalf("%s: DisableWarmStart still solved warm: %+v", label, k)
-				}
-				hits += k.WarmHits
-				expands += k.WarmExpands
+		for _, disable := range []bool{true, false} {
+			sol := mustSolve(t, m, Params{DisableWarmStart: disable, TimeLimit: 10 * time.Second})
+			label := fmt.Sprintf("trial %d disable %v", trial, disable)
+			if ref == nil {
+				ref = sol
 			}
+			checkOracle(t, label, m, ref, sol)
+			k := sol.Kernel
+			if k.WarmHits+k.WarmExpands+k.ColdFallbacks != k.WarmAttempts {
+				t.Fatalf("%s: inconsistent kernel counters %+v", label, k)
+			}
+			if disable && k.WarmAttempts != 0 {
+				t.Fatalf("%s: DisableWarmStart still solved warm: %+v", label, k)
+			}
+			hits += k.WarmHits
+			expands += k.WarmExpands
 		}
 	}
 	// The corpus must actually exercise both warm outcomes, or the
@@ -97,26 +94,24 @@ func TestWarmStartWithIncumbentEquivalence(t *testing.T) {
 			sign = -1
 		}
 		warmObj := m.Obj.Eval(ref.X)
-		for _, workers := range []int{0, 1, 4} {
-			for _, disable := range []bool{true, false} {
-				p := Params{Workers: workers, WarmStart: ref.X, DisableWarmStart: disable, TimeLimit: 10 * time.Second}
-				label := fmt.Sprintf("trial %d workers %d disable %v", trial, workers, disable)
-				checkOracle(t, label, m, ref, mustSolve(t, m, p))
+		for _, disable := range []bool{true, false} {
+			p := Params{WarmStart: ref.X, DisableWarmStart: disable, TimeLimit: 10 * time.Second}
+			label := fmt.Sprintf("trial %d disable %v", trial, disable)
+			checkOracle(t, label, m, ref, mustSolve(t, m, p))
 
-				p.MaxNodes = 4
-				lim := mustSolve(t, m, p)
-				if lim.X == nil {
-					t.Fatalf("%s max_nodes: lost the warm-start incumbent", label)
-				}
-				if err := m.CheckFeasible(lim.X, 1e-6); err != nil {
-					t.Fatalf("%s max_nodes: incumbent infeasible: %v", label, err)
-				}
-				if sign*lim.Obj > sign*warmObj+1e-9 {
-					t.Fatalf("%s max_nodes: objective %g worse than the warm start %g", label, lim.Obj, warmObj)
-				}
-				if sign*lim.BestBound > sign*ref.Obj+1e-9 {
-					t.Fatalf("%s max_nodes: bound %g passes the optimum %g", label, lim.BestBound, ref.Obj)
-				}
+			p.MaxNodes = 4
+			lim := mustSolve(t, m, p)
+			if lim.X == nil {
+				t.Fatalf("%s max_nodes: lost the warm-start incumbent", label)
+			}
+			if err := m.CheckFeasible(lim.X, 1e-6); err != nil {
+				t.Fatalf("%s max_nodes: incumbent infeasible: %v", label, err)
+			}
+			if sign*lim.Obj > sign*warmObj+1e-9 {
+				t.Fatalf("%s max_nodes: objective %g worse than the warm start %g", label, lim.Obj, warmObj)
+			}
+			if sign*lim.BestBound > sign*ref.Obj+1e-9 {
+				t.Fatalf("%s max_nodes: bound %g passes the optimum %g", label, lim.BestBound, ref.Obj)
 			}
 		}
 	}
@@ -133,15 +128,13 @@ func TestRootBasisRoundTrip(t *testing.T) {
 		if first.RootBasis == nil {
 			continue
 		}
-		for _, workers := range []int{0, 2} {
-			again := mustSolve(t, m, Params{Workers: workers, WarmBasis: first.RootBasis, TimeLimit: 10 * time.Second})
-			if again.Kernel.WarmAttempts == 0 {
-				t.Fatalf("trial %d workers %d: WarmBasis accepted but never used", trial, workers)
-			}
-			if again.Status != first.Status || math.Abs(again.Obj-first.Obj) > 1e-9 {
-				t.Fatalf("trial %d workers %d: re-solve with RootBasis diverged: %v/%g vs %v/%g",
-					trial, workers, again.Status, again.Obj, first.Status, first.Obj)
-			}
+		again := mustSolve(t, m, Params{WarmBasis: first.RootBasis, TimeLimit: 10 * time.Second})
+		if again.Kernel.WarmAttempts == 0 {
+			t.Fatalf("trial %d: WarmBasis accepted but never used", trial)
+		}
+		if again.Status != first.Status || math.Abs(again.Obj-first.Obj) > 1e-9 {
+			t.Fatalf("trial %d: re-solve with RootBasis diverged: %v/%g vs %v/%g",
+				trial, again.Status, again.Obj, first.Status, first.Obj)
 		}
 	}
 }
@@ -171,12 +164,12 @@ func TestWarmBasisRejected(t *testing.T) {
 		})
 	}
 
-	// A valid basis (from a solve) must be accepted by both engines.
+	// A valid basis (from a solve) must be accepted.
 	first := mustSolve(t, m, Params{})
 	if first.RootBasis == nil {
 		t.Fatal("no root basis on an optimal solve")
 	}
-	if _, err := Solve(m, Params{WarmBasis: first.RootBasis, Workers: 2}); err != nil {
+	if _, err := Solve(m, Params{WarmBasis: first.RootBasis}); err != nil {
 		t.Fatalf("valid warm basis rejected: %v", err)
 	}
 }

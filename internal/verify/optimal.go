@@ -29,9 +29,11 @@ type OptimalOptions struct {
 // CheckOptimal certifies a MILP result whose engine does not replay a
 // deterministic trajectory — milp.Params.FastSearch, whose node order,
 // steal pattern and incumbent publications depend on goroutine
-// scheduling. The deterministic engines are audited by replay (golden
-// trajectories, warm/cold and worker-count bit-identity); FastSearch has
-// no trajectory to replay, so its contract is certified per result:
+// scheduling. The deterministic engine is audited by replay: kernel
+// goldens pin its nodes and LP iterations, and its whole result is
+// bit-identical at every worker count (warm and cold runs are held only
+// to the same optimum). FastSearch has no trajectory to replay, so its
+// contract is certified per result:
 //
 //  1. the decoded incumbent is replayed against the paper's feasibility
 //     conditions (Constraints 1-10 / Properties 1-3) via CheckSolution;

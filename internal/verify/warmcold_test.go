@@ -14,8 +14,7 @@ import (
 
 // TestWarmColdScenarioEquivalence runs the full Section-VI MILP on
 // generated scenarios with the dual-simplex warm path enabled and disabled,
-// for the sequential engine and the epoch engine at 1 and 4 workers, and
-// holds every run to the same oracle: the reference run's status, an
+// and holds every run to the same oracle: the reference run's status, an
 // objective within 1e-9 of it, and an incumbent that CheckSolution accepts
 // against Constraints 1-10. Warm and cold runs may branch differently and
 // return different tied optima, so layouts and node counts are not
@@ -40,44 +39,38 @@ func TestWarmColdScenarioEquivalence(t *testing.T) {
 			continue
 		}
 		if a.NumComms() > 5 {
-			continue // keep the MILP small enough for the engine sweeps
+			continue // keep the MILP small enough for the warm/cold pair
 		}
 		covered++
 		gamma := deriveGamma(a, cm, 0.2)
 		for _, obj := range []dma.Objective{dma.MinTransfers, dma.MinDelayRatio} {
 			var ref *letopt.Result
-			for _, workers := range []int{0, 1, 4} {
-				for _, disable := range []bool{false, true} {
-					res, err := letopt.Solve(a, cm, gamma, obj, letopt.Options{
-						MILP: milp.Params{
-							Workers:          workers,
-							TimeLimit:        time.Minute,
-							DisableWarmStart: disable,
-						},
-					})
-					if err != nil {
-						t.Fatalf("%s/%s workers=%d disable=%v: %v", sc.Name, obj, workers, disable, err)
+			for _, disable := range []bool{false, true} {
+				res, err := letopt.Solve(a, cm, gamma, obj, letopt.Options{
+					MILP: milp.Params{TimeLimit: time.Minute, DisableWarmStart: disable},
+				})
+				if err != nil {
+					t.Fatalf("%s/%s disable=%v: %v", sc.Name, obj, disable, err)
+				}
+				if res.StopCause != milp.StopNone {
+					t.Fatalf("%s/%s disable=%v: stopped early (%s)", sc.Name, obj, disable, res.StopCause)
+				}
+				if res.Sched != nil {
+					if vs := CheckSolution(a, cm, res.Layout, res.Sched, gamma); len(vs) > 0 {
+						t.Fatalf("%s/%s disable=%v: incumbent rejected:\n%v", sc.Name, obj, disable, vs)
 					}
-					if res.StopCause != milp.StopNone {
-						t.Fatalf("%s/%s workers=%d disable=%v: stopped early (%s)", sc.Name, obj, workers, disable, res.StopCause)
-					}
-					if res.Sched != nil {
-						if vs := CheckSolution(a, cm, res.Layout, res.Sched, gamma); len(vs) > 0 {
-							t.Fatalf("%s/%s workers=%d disable=%v: incumbent rejected:\n%v", sc.Name, obj, workers, disable, vs)
-						}
-					}
-					if ref == nil {
-						ref = res
-						continue
-					}
-					if res.Status != ref.Status || (res.Sched == nil) != (ref.Sched == nil) {
-						t.Fatalf("%s/%s workers=%d disable=%v: status %s (schedule %v), reference %s (schedule %v)",
-							sc.Name, obj, workers, disable, res.Status, res.Sched != nil, ref.Status, ref.Sched != nil)
-					}
-					if res.Sched != nil && math.Abs(res.Objective-ref.Objective) > 1e-9 {
-						t.Fatalf("%s/%s workers=%d disable=%v: objective %.17g, reference %.17g",
-							sc.Name, obj, workers, disable, res.Objective, ref.Objective)
-					}
+				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				if res.Status != ref.Status || (res.Sched == nil) != (ref.Sched == nil) {
+					t.Fatalf("%s/%s disable=%v: status %s (schedule %v), reference %s (schedule %v)",
+						sc.Name, obj, disable, res.Status, res.Sched != nil, ref.Status, ref.Sched != nil)
+				}
+				if res.Sched != nil && math.Abs(res.Objective-ref.Objective) > 1e-9 {
+					t.Fatalf("%s/%s disable=%v: objective %.17g, reference %.17g",
+						sc.Name, obj, disable, res.Objective, ref.Objective)
 				}
 			}
 		}
