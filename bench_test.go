@@ -209,8 +209,8 @@ func BenchmarkMILPFullWaters(b *testing.B) {
 
 // BenchmarkFastSearchBnB measures the discovery regime — no warm start, no
 // node budget, solve to proven optimality — on the WATERS (lite) OBJ-DMAT
-// instance, the deterministic depth-first search vs FastSearch at 4
-// workers. Both engines prove the same optimum (the certificate tests pin
+// instance, the deterministic one-worker search vs FastSearch at 4
+// workers. Both prove the same optimum (the certificate tests pin
 // that); only "transfers" is reported because FastSearch's nodes and
 // lp_iters legitimately vary with goroutine scheduling and must not be
 // gated as deterministic metrics. The full WATERS model is excluded

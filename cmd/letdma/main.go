@@ -20,9 +20,9 @@
 //
 // Common flags: -lite selects the reduced two-core case study; -f loads a
 // JSON-described system; -alpha, -obj, -solver, -timeout tune the
-// configuration; -fast switches the MILP to the work-stealing FastSearch
-// engine (same certified optimum, nondeterministic trajectory; verify and
-// fuzz accept -fast too, where every FastSearch result is gated through
+// configuration; -fast runs the MILP search on -workers work-stealing
+// workers (FastSearch: same certified optimum, nondeterministic trajectory
+// above one worker; verify and fuzz accept -fast too, where every FastSearch result is gated through
 // the optimality certificate); fig2/table1/campaign/robust accept -csv.
 //
 // SIGINT or SIGTERM during a long MILP solve stops the search at the next
@@ -213,8 +213,8 @@ func commonFlags(fs *flag.FlagSet) *common {
 		solver:  fs.String("solver", "comb", "solver: comb | milp"),
 		timeout: fs.Duration("timeout", 0, "wall-clock budget for the whole command: when it expires the solver stops at the next boundary and reports the incumbent anytime solution (exit code 3); each MILP solve additionally keeps its 60s default time limit (0 = no budget)"),
 		slots:   fs.Int("slots", 0, "MILP transfer slots (0 = |C(s0)|)"),
-		workers: fs.Int("workers", 0, "worker goroutines for experiment fan-out, combopt and -fast; the default MILP search is sequential, so every count gives the same results"),
-		fast:    fs.Bool("fast", false, "use the work-stealing FastSearch MILP engine: same certified optimum, faster wall clock, but node order (and which of several tied optima is returned) depends on goroutine scheduling — audit results with 'verify -fast'"),
+		workers: fs.Int("workers", 0, "worker goroutines for experiment fan-out, combopt and -fast; without -fast the MILP search runs on one worker, so every count gives the same results"),
+		fast:    fs.Bool("fast", false, "run the MILP search on -workers work-stealing workers (FastSearch; -workers 1 is the default search): same certified optimum, faster wall clock, but node order (and which of several tied optima is returned) depends on goroutine scheduling — audit results with 'verify -fast'"),
 		milplog: fs.Bool("milplog", false, "write MILP solver progress and kernel counters (warm hits, cold fallbacks, phase-1 iterations, LU refactorizations, ftran/btran sparsity, eta-file growth) to stderr"),
 	}
 }
@@ -664,10 +664,10 @@ func newVerifyFlags(fs *flag.FlagSet, defaultN int) *verifyFlags {
 		seed:       fs.Int64("seed", 1, "base generator seed (failures reproduce from it)"),
 		n:          fs.Int("n", defaultN, "number of scenarios to check"),
 		family:     fs.String("family", "", "restrict to one scenario family (harmonic | coprime | stars | single-core | saturated | extremes | deep-ties)"),
-		workers:    fs.Int("workers", 0, "worker goroutines for combopt and -fast; the default MILP search is sequential, so every count gives the same report"),
+		workers:    fs.Int("workers", 0, "worker goroutines for combopt and -fast; without -fast the MILP search runs on one worker, so every count gives the same report"),
 		timeout:    fs.Duration("timeout", 5*time.Second, "MILP time limit per instance"),
 		exhaustive: fs.Int64("exhaustive", 0, "brute-force candidate budget (0 = harness default)"),
-		fast:       fs.Bool("fast", false, "also run the FastSearch MILP engine on every tractable instance, gated through the optimality certificate (verify.CheckOptimal)"),
+		fast:       fs.Bool("fast", false, "also run the MILP search under FastSearch on every tractable instance, gated through the optimality certificate (verify.CheckOptimal)"),
 		quiet:      fs.Bool("q", false, "print only failures and the summary"),
 	}
 }

@@ -196,10 +196,10 @@ func runInterruptedCapture(t *testing.T, args ...string) (int, string) {
 
 // TestInterruptFlushesIncumbent: the exit-code-3 path is only useful if
 // the anytime solution actually reached stdout before the process died.
-// For the deterministic engine (at any -workers) AND FastSearch, an
+// For the default one-worker search (at any -workers) AND FastSearch, an
 // interrupted schedule solve must still print the full layout +
 // transfer-schedule report of the incumbent (here the combopt warm start,
-// which seeds both engines).
+// which seeds both).
 func TestInterruptFlushesIncumbent(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -14,8 +14,9 @@
 // The suite (see Suite) contains eight analyzers:
 //
 //   - detrange: flags `range` over a map with order-dependent loop effects
-//     in solver/model-building packages, where iteration order would leak
-//     into emitted MILP variables, constraints, or schedules. Waivable per
+//     in solver/model-building and validation packages, where iteration
+//     order would leak into emitted MILP variables, constraints, schedules
+//     or violation reports. Waivable per
 //     statement with a `//letvet:ordered` comment.
 //   - ticktime: flags float literals and time.Duration values converted to
 //     timeutil.Time — model time is exact integer nanoseconds; quantizing a

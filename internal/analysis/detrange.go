@@ -7,11 +7,12 @@ import (
 )
 
 // Detrange flags `range` over a map whose loop body has order-dependent
-// effects, in the packages that build MILP models or schedules. Go map
-// iteration order is randomized per run, so any append, emission call, or
-// write to surrounding non-map state made under such a loop makes the
-// emitted column/row order — and hence the branch-and-bound trajectory and
-// reported solve times — differ between identical runs.
+// effects, in the packages that build MILP models or schedules and in those
+// that validate and report them. Go map iteration order is randomized per
+// run, so any append, emission call, or write to surrounding non-map state
+// made under such a loop makes the emitted column/row order — and hence the
+// branch-and-bound trajectory and reported solve times — or the order of
+// reported violations differ between identical runs.
 //
 // Compliant loops iterate a sorted key slice (e.g. ordered.Keys) instead;
 // loops whose per-iteration effects are genuinely commutative can carry a
@@ -19,7 +20,7 @@ import (
 var Detrange = &Analyzer{
 	Name:  "detrange",
 	Doc:   "flags order-dependent iteration over maps in solver/model-building packages",
-	Scope: scopeInternal("letopt", "combopt", "milp", "multidma", "experiments"),
+	Scope: scopeInternal("letopt", "combopt", "milp", "multidma", "experiments", "dma", "verify"),
 	Run:   runDetrange,
 }
 

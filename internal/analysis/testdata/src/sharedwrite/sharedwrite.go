@@ -95,7 +95,7 @@ func bestEffort(items []int, workers int) int {
 type workerStats struct{ nodes, steals int }
 
 // fastWorkers mirrors the work-stealing branch-and-bound engine's spawn
-// shape (internal/milp solveFast): per-worker state lives in pre-indexed
+// shape (internal/milp branchAndBound): per-worker state lives in pre-indexed
 // slots of a captured slice, shared counters go through sync/atomic
 // METHOD calls — which are not captured-variable writes at all — and
 // anything that is neither is still a finding. The discipline is

@@ -12,11 +12,12 @@
 package dma
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 
 	"letdma/internal/let"
 	"letdma/internal/model"
+	"letdma/internal/ordered"
 	"letdma/internal/timeutil"
 )
 
@@ -182,17 +183,12 @@ func RequiredObjects(a *let.Analysis) map[model.MemoryID][]Object {
 	}
 	out := make(map[model.MemoryID][]Object, len(req))
 	for m, set := range req {
-		objs := make([]Object, 0, len(set))
-		for o := range set {
-			objs = append(objs, o)
-		}
-		sort.Slice(objs, func(i, j int) bool {
-			if objs[i].Label != objs[j].Label {
-				return objs[i].Label < objs[j].Label
+		out[m] = ordered.KeysFunc(set, func(x, y Object) int {
+			if c := cmp.Compare(x.Label, y.Label); c != 0 {
+				return c
 			}
-			return objs[i].Task < objs[j].Task
+			return cmp.Compare(x.Task, y.Task)
 		})
-		out[m] = objs
 	}
 	return out
 }

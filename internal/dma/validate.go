@@ -6,6 +6,7 @@ import (
 
 	"letdma/internal/let"
 	"letdma/internal/model"
+	"letdma/internal/ordered"
 	"letdma/internal/timeutil"
 	"letdma/internal/violation"
 )
@@ -68,7 +69,9 @@ func ValidateAll(a *let.Analysis, cm CostModel, layout *Layout, sched *Schedule,
 	// Required objects all placed, exactly once (SetOrder already rejects
 	// duplicates; here we check presence), and within each memory's
 	// capacity when one is declared.
-	for m, objs := range RequiredObjects(a) {
+	req := RequiredObjects(a)
+	for _, m := range ordered.Keys(req) {
+		objs := req[m]
 		var bytes int64
 		for _, o := range objs {
 			if _, ok := layout.Position(m, o); !ok {
@@ -125,7 +128,7 @@ func ValidateAll(a *let.Analysis, cm CostModel, layout *Layout, sched *Schedule,
 	}
 
 	// Constraint 9 at s0.
-	for _, tid := range sortedTaskIDs(gamma) {
+	for _, tid := range ordered.Keys(gamma) {
 		g := gamma[tid]
 		if l := Latency(a, cm, sched, 0, tid, PerTaskReadiness); l > g {
 			vs.Addf(violation.Deadline, "Constraint 9",
@@ -189,15 +192,4 @@ func checkContiguous(a *let.Analysis, layout *Layout, tr Transfer) error {
 		}
 	}
 	return nil
-}
-
-// sortedTaskIDs returns the keys of gamma in increasing order, so the
-// violation list is deterministic.
-func sortedTaskIDs(gamma Deadlines) []model.TaskID {
-	out := make([]model.TaskID, 0, len(gamma))
-	for id := range gamma {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -63,13 +63,14 @@ type Config struct {
 	Slots int
 	// Workers bounds the experiment fan-out (Table I cells, Fig. 2 rows)
 	// and is passed through to the solvers: combopt explores granularities
-	// concurrently and FastSearch sets its worker count. The deterministic
-	// MILP ignores it, so results are identical for every worker count.
+	// concurrently and FastSearch sets its worker count. Without
+	// FastSearch the MILP search runs on one worker and ignores it, so
+	// results are identical for every worker count.
 	// 0 or 1 is fully sequential.
 	Workers int
-	// FastSearch switches the MILP to the nondeterministic work-stealing
-	// engine (milp.Params.FastSearch): same certified optimum, no
-	// reproducible trajectory, so experiments that pin node or
+	// FastSearch runs the MILP search on Workers work-stealing workers
+	// (milp.Params.FastSearch): same certified optimum, no reproducible
+	// trajectory above one worker, so experiments that pin node or
 	// iteration counts must leave it off. Callers needing an audited
 	// result gate it through verify.CheckOptimal.
 	FastSearch bool

@@ -1,6 +1,7 @@
 package letopt
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -14,9 +15,20 @@ import (
 )
 
 // solveTableI solves sys the way `letdma schedule -solver milp` does for a
-// Table I cell: alpha = 0.2 gamma deadlines and the combopt warm start,
-// here on the sequential engine.
+// Table I cell (see solveWarm) under a 5-minute limit and requires a proof.
 func solveTableI(t *testing.T, sys *model.System, obj dma.Objective) *Result {
+	t.Helper()
+	res := solveWarm(t, sys, obj, 5*time.Minute)
+	if res.Status != milp.StatusOptimal || res.StopCause != milp.StopNone {
+		t.Fatalf("status %s stop %s, want a proof (optimal, none)", res.Status, res.StopCause)
+	}
+	return res
+}
+
+// solveWarm solves sys with alpha = 0.2 gamma deadlines and the combopt
+// warm start on the default one-worker search, as `letdma schedule -solver
+// milp` does.
+func solveWarm(t *testing.T, sys *model.System, obj dma.Objective, limit time.Duration) *Result {
 	t.Helper()
 	a, err := let.Analyze(sys)
 	if err != nil {
@@ -32,21 +44,41 @@ func solveTableI(t *testing.T, sys *model.System, obj dma.Objective) *Result {
 		t.Fatal(err)
 	}
 	res, err := Solve(a, cm, gamma, obj, Options{
-		MILP:       milp.Params{Workers: 0, TimeLimit: 5 * time.Minute},
+		MILP:       milp.Params{TimeLimit: limit},
 		WarmLayout: comb.Layout,
 		WarmSched:  comb.Sched,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != milp.StatusOptimal || res.StopCause != milp.StopNone {
-		t.Fatalf("status %s stop %s, want a proof (optimal, none)", res.Status, res.StopCause)
-	}
 	return res
 }
 
+// TestWatersDelayRatioStopIsNoProof: "optimal" means proved. Full-WATERS
+// OBJ-DEL at the CLI defaults (60 s limit, |C(s0)| slots) is a solve whose
+// root LP can stop on a numerical fault. A search that stopped early on
+// anything but the gap tolerance must not report optimal. A node left open
+// by an undecided LP keeps the gap above 0, and when that node is the root
+// no bound is proved at all.
+func TestWatersDelayRatioStopIsNoProof(t *testing.T) {
+	res := solveWarm(t, waters.System(), dma.MinDelayRatio, 60*time.Second)
+	t.Logf("status %s stop %s obj %g bound %g gap %g nodes %d",
+		res.Status, res.StopCause, res.Objective, res.BestBound, res.Gap, res.Nodes)
+	if res.Status == milp.StatusOptimal && res.StopCause != milp.StopNone && res.StopCause != milp.StopGap {
+		t.Fatalf("status optimal with stop cause %s", res.StopCause)
+	}
+	if res.StopCause == milp.StopNumerical {
+		if res.Gap <= 0 {
+			t.Errorf("gap %g after a numerical stop, want > 0", res.Gap)
+		}
+		if res.Nodes == 1 && !math.IsInf(res.BestBound, -1) {
+			t.Errorf("bound %g with the root still open, want -Inf", res.BestBound)
+		}
+	}
+}
+
 // TestLiteMinTransfersSolvedWarm is the counter-level regression test of
-// the warm path on WATERS-lite OBJ-DMAT: the sequential engine expands
+// the warm path on WATERS-lite OBJ-DMAT: the one-worker search expands
 // children from the parent basis, so phase 1 stays a small share of the
 // simplex work and only the root (plus at most one fallback) is solved
 // cold. It checks counters, not wall time.

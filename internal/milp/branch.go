@@ -59,8 +59,8 @@ const (
 	StopInterrupt
 	// StopNumerical: the LP kernel lost its numerical footing on an open
 	// node (lpNumerical) and the search declined to decide the instance.
-	// Transient in the sense that a re-solve — possibly on the other
-	// engine or with different budgets — may well decide it; the letdmad
+	// Transient in the sense that a re-solve — possibly at another worker
+	// count or with different budgets — may well decide it; the letdmad
 	// retry policy treats exactly this cause as retryable.
 	StopNumerical
 	// StopLimit: a resource budget expired (TimeLimit, MaxNodes, or the
@@ -108,22 +108,22 @@ type Params struct {
 	GapTol float64
 	// IntTol is the integrality tolerance (default 1e-6).
 	IntTol float64
-	// Workers is the FastSearch worker count (minimum 1). The default
-	// engine is a sequential depth-first search that never reads it, so its
+	// Workers is the FastSearch worker count (minimum 1). Without
+	// FastSearch it is never read: the search runs on one worker, so its
 	// whole trajectory — incumbent, bound, decoded solution, node and
 	// simplex-iteration counts — is the same at every worker count.
 	Workers int
-	// FastSearch selects the work-stealing engine (fast.go) instead of the
-	// depth-first search: per-worker deques with best-bound-biased
+	// FastSearch runs the branch-and-bound loop (fast.go) on Workers
+	// workers instead of one: per-worker deques with best-bound-biased
 	// stealing and a lock-free incumbent published by monotonic
-	// compare-and-swap; nodes are solved by the same warm path as the
-	// deterministic engine. The returned optimum and status are exact, but
-	// the trajectory — node order, Nodes, SimplexIters, Kernel counters,
-	// and WHICH of several tied optimal solutions is returned — depends on
-	// goroutine scheduling and is NOT reproducible across runs or worker
-	// counts. The deterministic engine replays; FastSearch certifies:
-	// callers that need an audited result gate it through
-	// verify.CheckOptimal.
+	// compare-and-swap. At one worker there is one deque and no steal, so
+	// FastSearch with Workers <= 1 is the default search. With more workers
+	// the returned optimum and status are exact, but the trajectory — node
+	// order, Nodes, SimplexIters, Kernel counters, and WHICH of several
+	// tied optimal solutions is returned — depends on goroutine scheduling
+	// and is NOT reproducible across runs or worker counts. The one-worker
+	// search replays; FastSearch certifies: callers that need an audited
+	// result gate it through verify.CheckOptimal.
 	FastSearch bool
 	// WarmStart, if non-nil, is checked for feasibility and installed as
 	// the initial incumbent. One that already meets the objective's minimum
@@ -147,10 +147,10 @@ type Params struct {
 	// Log, if non-nil, receives progress lines.
 	Log io.Writer
 	// Interrupt, when non-nil, requests a cooperative stop: close the
-	// channel and the search halts at the next node boundary (per worker
-	// under FastSearch, where every worker loop polls it), returning the
-	// incumbent anytime solution (StatusFeasible plus its gap) exactly
-	// as if the time limit had expired. letdma wires SIGINT to this.
+	// channel and the search halts at the next node boundary (every worker
+	// polls it at its own), returning the incumbent anytime solution
+	// (StatusFeasible plus its gap) exactly as if the time limit had
+	// expired. letdma wires SIGINT to this.
 	Interrupt <-chan struct{}
 }
 
@@ -196,10 +196,10 @@ type bbNode struct {
 	pbasis *Basis // parent's optimal basis (nil: cold solve)
 }
 
-// searchState is the search context shared by the depth-first search and
-// FastSearch: the minimization form of the model, the root bounds after
-// presolve, the integer variable set, bound-rounding data and the current
-// incumbent.
+// searchState is the search context shared by every worker: the
+// minimization form of the model, the root bounds after presolve, the
+// integer variable set and bound-rounding data. incumbent and incObj hold
+// the warm start until the search ends and its final incumbent after.
 type searchState struct {
 	m         *Model
 	minM      *Model // minimization form of m (== m unless Maximize)
@@ -217,8 +217,8 @@ type searchState struct {
 	stats     KernelStats
 	rootBasis *Basis
 	// stopCause holds the FIRST recorded StopCause (0 = none). Atomic
-	// because FastSearch workers note causes concurrently; the depth-first
-	// search pays one uncontended CAS per (rare) stop event.
+	// because workers note causes concurrently; at one worker that costs
+	// one uncontended CAS per (rare) stop event.
 	stopCause atomic.Int32
 }
 
@@ -341,25 +341,6 @@ func (st *searchState) pickBranchVar(x []float64) VarID {
 	return branchVar
 }
 
-// tryIncumbent snaps the integral LP point x, verifies feasibility and
-// installs it as the incumbent if it improves. Reports whether it did.
-func (st *searchState) tryIncumbent(x []float64) bool {
-	cand := append([]float64(nil), x...)
-	for _, id := range st.intVars {
-		cand[id] = math.Round(cand[id])
-	}
-	if err := st.m.CheckFeasible(cand, 1e-5); err != nil {
-		return false
-	}
-	obj := st.minObj(cand)
-	if obj >= st.incObj-1e-12 {
-		return false
-	}
-	st.incObj = obj
-	st.incumbent = cand
-	return true
-}
-
 // finish assembles the Solution from the terminal search state. openBound
 // is the minimum relaxation bound among still-open nodes (+Inf when the
 // search exhausted the tree).
@@ -407,157 +388,16 @@ func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool
 	return sol
 }
 
-// Solve minimizes or maximizes the model by LP-based branch and bound:
-// a sequential depth-first search unless p.FastSearch is set.
+// Solve minimizes or maximizes the model by LP-based branch and bound
+// (fast.go). By default the search runs on exactly one worker, which makes
+// its whole trajectory a deterministic function of the model and Params;
+// p.FastSearch runs it on max(1, p.Workers) workers.
 func Solve(m *Model, p Params) (*Solution, error) {
+	workers := 1
 	if p.FastSearch {
-		return solveFast(m, p)
+		workers = max(1, p.Workers)
 	}
-	start := time.Now()
-	st, early, err := prepSearch(m, p, start)
-	if early != nil || err != nil {
-		return early, err
-	}
-
-	nodes := 0
-	simplexIters := 0
-	stack := []*bbNode{{lo: st.lo0, hi: st.hi0, bound: math.Inf(-1), depth: 0, pbasis: p.WarmBasis}}
-	hitLimit := false
-
-	openBound := func() float64 {
-		// Minimum bound among open nodes (and the node being expanded).
-		b := math.Inf(1)
-		for _, n := range stack {
-			if n.bound < b {
-				b = n.bound
-			}
-		}
-		return b
-	}
-
-	for len(stack) > 0 {
-		if p.MaxNodes > 0 && nodes >= p.MaxNodes {
-			st.noteStop(StopLimit)
-			hitLimit = true
-			break
-		}
-		if !st.deadline.IsZero() && time.Now().After(st.deadline) {
-			st.noteStop(StopLimit)
-			hitLimit = true
-			break
-		}
-		if stopRequested(p.Interrupt) {
-			st.noteStop(StopInterrupt)
-			hitLimit = true
-			break
-		}
-		// Depth-first with best-bound tie-break: take the deepest node;
-		// among equal depth, smaller parent bound first. The stack is kept
-		// so that the last element is the preferred node.
-		node := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nodes++
-
-		// Bound-based pruning (works for warm starts too).
-		if node.bound > st.incObj-1e-9 && !math.IsInf(node.bound, -1) {
-			continue
-		}
-
-		nr := st.solveNode(node, st.incObj)
-		st.stats.add(nr.stats)
-		res := nr.lpSolution
-		simplexIters += res.iters
-		switch res.status {
-		case lpTimeLimit, lpIterLimit, lpNumerical:
-			// lpNumerical: the kernel lost its numerical footing on this
-			// node; treating the relaxation as decided either way would be
-			// unsound, so the node stays open and the search reports an
-			// early stop, exactly like a limit.
-			st.noteStop(stopCauseOfLP(res.status))
-			hitLimit = true
-		case lpCutoff, lpInfeasible:
-			// lpCutoff: the warm solve fathomed the node against the
-			// incumbent.
-			continue
-		case lpUnbounded:
-			if len(st.intVars) == 0 || node.depth == 0 {
-				return &Solution{
-					Status: StatusUnbounded, Nodes: nodes, SimplexIters: simplexIters,
-					Runtime: time.Since(start), Gap: math.Inf(1),
-				}, nil
-			}
-			continue
-		}
-		if hitLimit {
-			break
-		}
-		if node.depth == 0 {
-			st.rootBasis = res.basis
-		}
-		lpObj := res.obj
-		if lpObj > st.incObj-1e-9 {
-			continue // cannot improve
-		}
-		// Round the bound up to the next representable objective value
-		// when all objective coefficients over integer variables are
-		// integral multiples of a step.
-		if st.intObjGCD > 0 {
-			lpObj = roundBoundUp(lpObj, st.intObjGCD, st.objOffset)
-			if lpObj > st.incObj-1e-9 {
-				continue
-			}
-		}
-
-		branchVar := st.pickBranchVar(res.x)
-		if branchVar == -1 {
-			// Integral: candidate incumbent. Snap and verify.
-			if st.tryIncumbent(res.x) {
-				logf(p.Log, "node %d: new incumbent obj=%.6g\n", nodes, st.objSign*st.incObj)
-				if p.GapTol > 0 {
-					ob := math.Min(openBound(), lpObj)
-					if relGap(st.incObj, ob) <= p.GapTol {
-						st.noteStop(StopGap)
-						hitLimit = true
-					}
-				}
-			}
-			if hitLimit {
-				break
-			}
-			continue
-		}
-
-		// Branch.
-		xf := res.x[branchVar]
-		downHi := math.Floor(xf)
-		upLo := math.Ceil(xf)
-
-		mk := func(newLo, newHi float64, isUp bool) *bbNode {
-			nl := append([]float64(nil), node.lo...)
-			nh := append([]float64(nil), node.hi...)
-			if isUp {
-				nl[branchVar] = newLo
-			} else {
-				nh[branchVar] = newHi
-			}
-			return &bbNode{lo: nl, hi: nh, bound: lpObj, depth: node.depth + 1, pbasis: res.basis}
-		}
-		down := mk(0, downHi, false)
-		up := mk(upLo, 0, true)
-		// Explore the child containing the LP value's nearer integer first
-		// (pushed last).
-		if xf-downHi <= 0.5 {
-			stack = append(stack, up, down)
-		} else {
-			stack = append(stack, down, up)
-		}
-	}
-
-	ob := math.Inf(1)
-	if len(stack) > 0 || hitLimit {
-		ob = openBound()
-	}
-	return st.finish(ob, nodes, simplexIters, hitLimit), nil
+	return branchAndBound(m, p, workers)
 }
 
 // coldSolve runs the two-phase simplex on the prebuilt minimization form,
@@ -573,19 +413,19 @@ func (st *searchState) coldSolve(lo, hi []float64) lpSolution {
 }
 
 // nodeResult is one node's relaxation outcome plus the kernel counters it
-// generated, returned separately so each FastSearch worker can accumulate
-// them without touching shared state.
+// generated, returned separately so each worker can accumulate them without
+// touching shared state.
 type nodeResult struct {
 	lpSolution
 	stats KernelStats
 }
 
-// solveNode resolves one node's relaxation for both engines. With a parent
-// basis it solves warm (warmSolveLP): a fathom verdict ends the node, a
-// warm optimum is expanded directly, and only a node the warm path cannot
-// decide is cold-solved. cutoff is the incumbent objective (minimization
+// solveNode resolves one node's relaxation. With a parent basis it solves
+// warm (warmSolveLP): a fathom verdict ends the node, a warm optimum is
+// expanded directly, and only a node the warm path cannot decide is
+// cold-solved. cutoff is the incumbent objective (minimization
 // sense, +Inf for none) the warm solve may fathom against. solveNode reads
-// searchState immutably, so FastSearch's workers may call it concurrently.
+// searchState immutably, so workers may call it concurrently.
 func (st *searchState) solveNode(node *bbNode, cutoff float64) nodeResult {
 	var nr nodeResult
 	warmIters := 0
@@ -615,28 +455,6 @@ func (st *searchState) solveNode(node *bbNode, cutoff float64) nodeResult {
 	res.iters += warmIters
 	nr.lpSolution = res
 	return nr
-}
-
-// solveLPmin solves the relaxation in minimization sense, including the
-// objective constant so that LP bounds and incumbent objectives compare
-// directly.
-func solveLPmin(m *Model, objSign float64, lo, hi []float64, deadline time.Time) lpSolution {
-	var res lpSolution
-	if objSign == 1 {
-		res = solveLP(m, lo, hi, deadline)
-	} else {
-		// Negate the objective for maximization models.
-		neg := *m
-		neg.Obj = Expr{}
-		for _, t := range m.Obj.Terms {
-			neg.Obj.Terms = append(neg.Obj.Terms, Term{Var: t.Var, Coef: -t.Coef})
-		}
-		res = solveLP(&neg, lo, hi, deadline)
-	}
-	if res.status == lpOptimal {
-		res.obj += objSign * m.Obj.Const
-	}
-	return res
 }
 
 // relGap computes the relative optimality gap for minimization values,

@@ -8,9 +8,8 @@ import (
 	"time"
 )
 
-// This file implements the FastSearch engine (Params.FastSearch): a
-// work-stealing branch and bound that trades the depth-first search's
-// replay-identity for throughput.
+// This file implements the branch-and-bound loop behind Solve: a
+// work-stealing search over one or more workers.
 //
 //   - Every worker owns a deque: it pushes and pops children at the tail
 //     (depth-first, preferred child on top), and idle workers steal from
@@ -23,16 +22,20 @@ import (
 //     better than the currently published one, so the incumbent objective
 //     only ever decreases (in minimization sense) no matter how races
 //     resolve, and readers always see a fully formed (obj, x) pair.
-//   - Nodes are solved by the same warm path as the depth-first search
-//     (searchState.solveNode), fathoming against the published incumbent.
+//   - Nodes are solved by the warm path (searchState.solveNode), fathoming
+//     against the published incumbent.
 //   - There is no barrier: workers proceed independently and termination
 //     is detected by an atomic count of unfinished nodes.
+//   - A node whose relaxation stays undecided (time or iteration limit,
+//     numerical fault) goes back on its deque, so the reported bound still
+//     accounts for it: a stopped search is never reported as a proof.
 //
-// The returned status and optimal objective are exact — every pruning step
-// is justified by the same bound arithmetic as the depth-first search,
-// and incumbents pass the same CheckFeasible gate — but the trajectory
-// (node order, counters, and which of several tied optima is returned)
-// depends on goroutine scheduling. The depth-first search replays;
+// At one worker (the default; Params.FastSearch sets more) there is one
+// deque, no steal and no race: nodes are taken in depth-first order and the
+// whole trajectory is a deterministic function of the input. With more
+// workers the returned status and optimal objective are still exact, but
+// the trajectory (node order, counters, and which of several tied optima is
+// returned) depends on goroutine scheduling. The one-worker search replays;
 // FastSearch certifies: audited runs go through verify.CheckOptimal.
 
 // fastIncumbent is one published incumbent: immutable after publication, so
@@ -124,7 +127,7 @@ type fastWorker struct {
 	iters int
 }
 
-// fastEngine is the shared state of one FastSearch solve.
+// fastEngine is the shared state of one search.
 type fastEngine struct {
 	st     *searchState // immutable search context after prepSearch
 	deques []*fastDeque
@@ -143,7 +146,8 @@ type fastEngine struct {
 	unbounded atomic.Bool
 	// curBound[w] holds math.Float64bits of the bound of the node worker w
 	// is currently processing (+Inf when idle), so the global bound snapshot
-	// can account for in-flight work.
+	// can account for in-flight work. Once the node's relaxation is solved
+	// it holds that (tighter) relaxation bound.
 	curBound  []atomic.Uint64
 	rootBasis atomic.Pointer[Basis]
 	logMu     sync.Mutex
@@ -272,21 +276,19 @@ func (e *fastEngine) run(id int, ws *fastWorker) {
 	}
 }
 
-// process expands one node, mirroring the sequential engine's per-node
-// logic: limits, incumbent prune, relaxation solve (warm when a parent basis
-// exists), fathom/branch/publish. The node's inflight slot is released only
-// after any children are registered, so inflight can never transiently hit
-// zero while work remains.
+// process expands one node: limits, incumbent prune, relaxation solve (warm
+// when a parent basis exists), fathom/branch/publish. The node's inflight
+// slot is released only after any children are registered, so inflight can
+// never transiently hit zero while work remains.
 func (e *fastEngine) process(id int, node *bbNode, ws *fastWorker) {
 	st := e.st
 	p := st.p
 
-	// Limits are checked at the node boundary, like the sequential engine's
-	// loop head. A limited node goes back on the queue so the final bound
-	// still accounts for it. The interrupt is polled first so a closed
-	// channel is reported as StopInterrupt even when a budget expired in
-	// the same instant — the anytime contract the letdmad deadline and the
-	// SIGINT/SIGTERM paths rely on.
+	// Limits are checked at the node boundary. A limited node goes back on
+	// the queue so the final bound still accounts for it. The interrupt is
+	// polled first so a closed channel is reported as StopInterrupt even
+	// when a budget expired in the same instant — the anytime contract the
+	// letdmad deadline and the SIGINT/SIGTERM paths rely on.
 	if stopRequested(p.Interrupt) {
 		st.noteStop(StopInterrupt)
 		e.requestStop(true)
@@ -313,8 +315,10 @@ func (e *fastEngine) process(id int, node *bbNode, ws *fastWorker) {
 	ws.iters += res.iters
 	switch res.status {
 	case lpTimeLimit, lpIterLimit, lpNumerical:
-		// The relaxation is undecided (see the sequential engine); the node
-		// stays open and the solve reports an early stop.
+		// lpNumerical: the kernel lost its numerical footing on this node.
+		// Treating the relaxation as decided either way would be unsound,
+		// so, as on a limit, the node stays open and the solve reports an
+		// early stop.
 		st.noteStop(stopCauseOfLP(res.status))
 		e.requestStop(true)
 		e.deques[id].push(node)
@@ -334,6 +338,9 @@ func (e *fastEngine) process(id int, node *bbNode, ws *fastWorker) {
 		e.rootBasis.Store(res.basis)
 	}
 
+	// Round the bound up to the next representable objective value when
+	// all objective coefficients over integer variables are integral
+	// multiples of a step.
 	lpObj := res.obj
 	if st.intObjGCD > 0 {
 		lpObj = roundBoundUp(lpObj, st.intObjGCD, st.objOffset)
@@ -342,17 +349,18 @@ func (e *fastEngine) process(id int, node *bbNode, ws *fastWorker) {
 		e.inflight.Add(-1)
 		return
 	}
+	e.curBound[id].Store(math.Float64bits(lpObj))
 
 	branchVar := st.pickBranchVar(res.x)
 	if branchVar == -1 {
 		if obj, installed := e.tryPublish(res.x); installed {
 			if p.Log != nil {
 				e.logMu.Lock()
-				logf(p.Log, "fast: new incumbent obj=%.6g\n", st.objSign*obj)
+				logf(p.Log, "node %d: new incumbent obj=%.6g\n", e.nodes.Load(), st.objSign*obj)
 				e.logMu.Unlock()
 			}
 			if p.GapTol > 0 {
-				if ob := math.Min(e.snapshotBound(), lpObj); relGap(obj, ob) <= p.GapTol {
+				if relGap(obj, e.snapshotBound()) <= p.GapTol {
 					st.noteStop(StopGap)
 					e.requestStop(true)
 				}
@@ -387,13 +395,9 @@ func (e *fastEngine) process(id int, node *bbNode, ws *fastWorker) {
 	e.inflight.Add(-1)
 }
 
-// solveFast is the FastSearch entry point (Params.FastSearch).
-func solveFast(m *Model, p Params) (*Solution, error) {
+// branchAndBound runs the search on the given number of workers (>= 1).
+func branchAndBound(m *Model, p Params, workers int) (*Solution, error) {
 	start := time.Now()
-	workers := p.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	st, early, err := prepSearch(m, p, start)
 	if early != nil || err != nil {
 		return early, err
@@ -453,6 +457,6 @@ func solveFast(m *Model, p Params) (*Solution, error) {
 			}
 		}
 	}
-	logf(p.Log, "fast: workers=%d steals=%d\n", workers, st.stats.Steals)
+	logf(p.Log, "search: workers=%d steals=%d\n", workers, st.stats.Steals)
 	return st.finish(ob, nodes, iters, hitLimit), nil
 }

@@ -12,7 +12,7 @@ import (
 	"letdma/internal/milptest"
 )
 
-// detReference solves the model with the sequential deterministic engine
+// detReference solves the model with the deterministic one-worker search
 // and returns the authoritative (status, objective).
 func detReference(t *testing.T, m *milp.Model) *milp.Solution {
 	t.Helper()

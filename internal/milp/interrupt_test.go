@@ -30,9 +30,9 @@ func interruptModel() (*Model, []float64) {
 	return m, make([]float64, n) // all-zero warm start is feasible
 }
 
-// TestInterruptReturnsIncumbent: a pre-closed Interrupt channel stops
-// both engines at their first boundary check — the depth-first search at
-// its loop head, FastSearch inside each worker's per-node loop — and with a warm start the anytime incumbent comes back
+// TestInterruptReturnsIncumbent: a pre-closed Interrupt channel stops the
+// search at its first node boundary — every worker polls it in its
+// per-node loop — and with a warm start the anytime incumbent comes back
 // as StatusFeasible (or StatusOptimal if the root already proved it)
 // instead of an error or no output.
 func TestInterruptReturnsIncumbent(t *testing.T) {
@@ -62,7 +62,7 @@ func TestInterruptReturnsIncumbent(t *testing.T) {
 	}
 }
 
-// TestStopCauseTaxonomy: every engine labels WHY it stopped early — the
+// TestStopCauseTaxonomy: the search labels WHY it stopped early — the
 // letdmad retry/deadline policy keys off this, so the mapping is pinned:
 // a closed Interrupt reports StopInterrupt, an expired TimeLimit reports
 // StopLimit, and a run to proven optimality reports StopNone.

@@ -51,7 +51,7 @@ func loadKernelGolden(t *testing.T) []kernelGoldenRow {
 
 // TestKernelGolden is the dense-vs-sparse differential gate plus the
 // trajectory pin of the simplex kernel, run over the shared milptest corpus
-// with the sequential engine (Workers invariance is pinned separately).
+// with the one-worker search (Workers invariance is pinned separately).
 func TestKernelGolden(t *testing.T) {
 	corpus := milptest.Corpus()
 	rows := make([]kernelGoldenRow, 0, len(corpus))
@@ -59,6 +59,12 @@ func TestKernelGolden(t *testing.T) {
 		sol, err := milp.Solve(c.M, milp.Params{TimeLimit: 30 * time.Second})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
+		}
+		// "optimal" means proved: a search cut short by an interrupt, a
+		// limit or a numerical fault may report optimal only when its gap
+		// closed (GapTol), never on the stopped search alone.
+		if sol.Status == milp.StatusOptimal && sol.StopCause != milp.StopNone && sol.StopCause != milp.StopGap {
+			t.Errorf("%s: status optimal with stop cause %s", c.Name, sol.StopCause)
 		}
 		row := kernelGoldenRow{Name: c.Name, Status: sol.Status.String(), Nodes: sol.Nodes, Iters: sol.SimplexIters}
 		if sol.X != nil {

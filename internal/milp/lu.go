@@ -289,7 +289,7 @@ type eta struct {
 }
 
 // kernelCounters aggregates one solve's linear-algebra activity. They are
-// folded into KernelStats by the branch-and-bound engines.
+// folded into KernelStats by the branch-and-bound search.
 type kernelCounters struct {
 	refactors   int
 	ftranSolves int

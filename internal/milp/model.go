@@ -10,9 +10,11 @@
 //     relaxations (simplex.go), running on a sparse LU factorization of
 //     the basis with a product-form eta file (lu.go) and devex pricing
 //     with partial scans (see DESIGN.md section 14);
-//   - a branch-and-bound search with most-fractional branching, a
-//     best-bound/depth-first hybrid node order, warm-start incumbents, a
-//     wall-clock time limit and MIP-gap termination (branch.go);
+//   - a branch-and-bound search with most-fractional branching,
+//     depth-first node order with best-bound-biased work stealing,
+//     warm-start incumbents, a wall-clock time limit and MIP-gap
+//     termination (branch.go, fast.go); it runs on one worker unless
+//     Params.FastSearch asks for more;
 //   - a dual-simplex warm-start path (warm.go): each node caches its
 //     final basis and children are solved from it, fathoming by bound
 //     cutoff or proven infeasibility or reaching the child's optimum
@@ -20,8 +22,8 @@
 //     back to the cold solve (see DESIGN.md section 11);
 //   - a light presolve (presolve.go) and an LP-format writer (lpwrite.go).
 //
-// The implementation is deterministic: solving the same model twice yields
-// the same solution and node count.
+// At one worker the implementation is deterministic: solving the same
+// model twice yields the same solution and node count.
 package milp
 
 import (

@@ -47,8 +47,9 @@ func randomModel(rng *rand.Rand) *Model {
 // TestWorkersInvariant solves random models at several worker counts and
 // requires the entire reported trajectory — status, incumbent vector,
 // objective, bound, gap, node and iteration counts — to be byte-for-byte
-// identical. The deterministic engine never reads Params.Workers, so
-// -workers may change only wall-clock time, never results. One trial, on
+// identical. Without FastSearch the search runs on one worker and never
+// reads Params.Workers, so -workers may change only wall-clock time, never
+// results; FastSearch at one worker is that same search. One trial, on
 // which the incumbent once depended on the worker count, is also pinned to
 // its exact incumbent and objective.
 func TestWorkersInvariant(t *testing.T) {
@@ -60,10 +61,11 @@ func TestWorkersInvariant(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		m := randomModel(rng)
 		var ref *Solution
-		for _, workers := range []int{0, 1, 2, 5} {
-			sol, err := Solve(m, Params{Workers: workers, TimeLimit: 10 * time.Second})
+		for _, p := range []Params{{Workers: 0}, {Workers: 1}, {Workers: 2}, {Workers: 5}, {FastSearch: true, Workers: 1}} {
+			p.TimeLimit = 10 * time.Second
+			sol, err := Solve(m, p)
 			if err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
+				t.Fatalf("trial %d workers %d fast %v: %v", trial, p.Workers, p.FastSearch, err)
 			}
 			sol.Runtime = 0 // the only field allowed to vary
 			if ref == nil {
@@ -71,8 +73,8 @@ func TestWorkersInvariant(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(ref, sol) {
-				t.Fatalf("trial %d: workers=%d trajectory differs from workers=0:\n%+v\nvs\n%+v",
-					trial, workers, ref, sol)
+				t.Fatalf("trial %d: workers=%d fast=%v trajectory differs from workers=0:\n%+v\nvs\n%+v",
+					trial, p.Workers, p.FastSearch, ref, sol)
 			}
 		}
 		if trial == 6 && (ref.Status != StatusOptimal || !reflect.DeepEqual(ref.X, []float64{2, 1, 0}) || ref.Obj != -7) {

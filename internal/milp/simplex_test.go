@@ -6,20 +6,19 @@ import (
 	"time"
 )
 
+// solveRelax solves the root relaxation the way the search does: prepSearch
+// builds the minimization form and the presolved root box, and coldSolve
+// runs the two-phase simplex on it. The objective is reported in the model's
+// own sense.
 func solveRelax(t *testing.T, m *Model) lpSolution {
 	t.Helper()
-	lo := make([]float64, len(m.Vars))
-	hi := make([]float64, len(m.Vars))
-	for i, v := range m.Vars {
-		lo[i], hi[i] = v.Lo, v.Hi
+	st, early, err := prepSearch(m, Params{}, time.Now())
+	if err != nil || early != nil {
+		t.Fatalf("prepSearch decided the model before the LP: %v, %+v", err, early)
 	}
-	sign := 1.0
-	if m.ObjSense == Maximize {
-		sign = -1.0
-	}
-	res := solveLPmin(m, sign, lo, hi, time.Time{})
+	res := st.coldSolve(st.lo0, st.hi0)
 	if res.status == lpOptimal {
-		res.obj *= sign
+		res.obj *= st.objSign
 	}
 	return res
 }
@@ -88,8 +87,11 @@ func TestSimplexFreeVariable(t *testing.T) {
 func TestSimplexInfeasible(t *testing.T) {
 	m := NewModel()
 	x := m.AddContinuous("x", 0, Inf)
-	m.AddGE("lo", Sum(1, x), 3)
-	m.AddLE("hi", Sum(1, x), 1)
+	y := m.AddContinuous("y", 0, Inf)
+	// Two-variable rows: presolve's singleton and activity checks cannot
+	// refute them, so infeasibility is the simplex's phase-1 verdict.
+	m.AddGE("lo", Sum(1, x, y), 3)
+	m.AddLE("hi", Sum(1, x, y), 1)
 	m.SetObjective(Minimize, Sum(1, x))
 	res := solveRelax(t, m)
 	if res.status != lpInfeasible {

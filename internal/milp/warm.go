@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the warm path of the branch-and-bound search, the
-// one every engine uses. A child node differs from its parent by a single
+// one every node of every worker takes. A child node differs from its parent by a single
 // tightened variable bound, so the parent's optimal basis stays
 // dual-feasible for the child — the textbook dual-simplex warm start.
 // warmSolveLP rebuilds that basis on the child's box, runs the dual simplex
@@ -17,7 +17,7 @@ import (
 // a phase 1. Only a node the warm path cannot decide goes to the cold
 // two-phase path. The warm vertex may be a different, equally optimal
 // vertex than the cold one, so warm and cold runs can branch differently;
-// the depth-first search is still a deterministic function of its input.
+// the one-worker search is still a deterministic function of its input.
 //
 // Fallback ladder (any rung drops to the cold path):
 //  1. snapshot does not fit the child's computational form,
@@ -130,9 +130,10 @@ func (s *simplexState) snapshotBasis() *Basis {
 }
 
 // KernelStats aggregates simplex-kernel counters across a branch-and-bound
-// solve. The depth-first search merges them in node order, so — like the
-// rest of its Solution — they are identical for every run of the same
-// model, at every Params.Workers; FastSearch's depend on scheduling.
+// solve. At one worker (the default) they are merged in node order, so —
+// like the rest of its Solution — they are identical for every run of the
+// same model, at every Params.Workers; with FastSearch on several workers
+// they depend on scheduling.
 type KernelStats struct {
 	// WarmAttempts counts nodes solved warm from their parent's basis.
 	WarmAttempts int
@@ -172,12 +173,12 @@ type KernelStats struct {
 	LuNnz int
 	// WarmExpands counts expanded nodes whose relaxation was solved to
 	// true-cost optimality directly from the parent basis (dual repair plus
-	// primal cleanup) instead of the cold two-phase path. Every engine
+	// primal cleanup) instead of the cold two-phase path. Every child node
 	// takes this path unless Params.DisableWarmStart is set.
 	WarmExpands int
 	// Steals counts work-stealing events (a worker taking a node from
-	// another worker's deque). FastSearch only; 0 otherwise. Like every
-	// counter under FastSearch it depends on scheduling and is NOT
+	// another worker's deque); always 0 at one worker. With several workers
+	// it depends on scheduling, like every other counter, and is NOT
 	// reproducible across runs.
 	Steals int
 }

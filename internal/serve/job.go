@@ -37,7 +37,8 @@ type JobSpec struct {
 	Solver string `json:"solver,omitempty"`
 	// Slots caps the MILP transfer slots (0 = |C(s0)|).
 	Slots int `json:"slots,omitempty"`
-	// Fast selects the work-stealing FastSearch MILP engine. FastSearch
+	// Fast runs the MILP search on Workers work-stealing workers
+	// (FastSearch). FastSearch
 	// results are certified server-side by verify.CheckOptimal before
 	// they are cached; a failed certificate is a retryable fault.
 	Fast bool `json:"fast,omitempty"`

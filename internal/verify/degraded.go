@@ -2,11 +2,11 @@ package verify
 
 import (
 	"reflect"
-	"sort"
 
 	"letdma/internal/dma"
 	"letdma/internal/faultsim"
 	"letdma/internal/let"
+	"letdma/internal/ordered"
 	"letdma/internal/sim"
 	"letdma/internal/timeutil"
 	"letdma/internal/violation"
@@ -135,12 +135,7 @@ func checkDegradedRun(a *let.Analysis, cm dma.CostModel, sched *dma.Schedule, no
 	// declared halt.
 	for _, task := range a.Sys.Tasks {
 		byRel := res.LatencyAt[task.ID]
-		rels := make([]timeutil.Time, 0, len(byRel))
-		for rel := range byRel {
-			rels = append(rels, rel)
-		}
-		sort.Slice(rels, func(i, j int) bool { return rels[i] < rels[j] })
-		for _, rel := range rels {
+		for _, rel := range ordered.Keys(byRel) {
 			if res.Halted && rel >= res.HaltedAt {
 				continue
 			}

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"sort"
 	"strings"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"letdma/internal/let"
 	"letdma/internal/letopt"
 	"letdma/internal/milp"
+	"letdma/internal/ordered"
 	"letdma/internal/rta"
 	"letdma/internal/sim"
 	"letdma/internal/sysgen"
@@ -294,12 +294,7 @@ func checkSim(a *let.Analysis, cm dma.CostModel, sched *dma.Schedule, hyperperio
 	}
 	for _, task := range a.Sys.Tasks {
 		byRel := res.LatencyAt[task.ID]
-		rels := make([]timeutil.Time, 0, len(byRel))
-		for rel := range byRel {
-			rels = append(rels, rel)
-		}
-		sort.Slice(rels, func(i, j int) bool { return rels[i] < rels[j] })
-		for _, rel := range rels {
+		for _, rel := range ordered.Keys(byRel) {
 			t0 := timeutil.Time(int64(rel) % int64(a.H))
 			want := dma.Latency(a, cm, sched, t0, task.ID, dma.PerTaskReadiness)
 			if lat := byRel[rel]; lat != want {

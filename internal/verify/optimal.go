@@ -13,8 +13,8 @@ import (
 
 // OptimalOptions tunes CheckOptimal.
 type OptimalOptions struct {
-	// Reference is an already-available deterministic-engine result for
-	// the same (analysis, gamma, objective, slots) instance — e.g. the one
+	// Reference is an already-available deterministic (one-worker) result
+	// for the same (analysis, gamma, objective, slots) instance — e.g. the one
 	// the differential harness just computed. Nil makes CheckOptimal run
 	// its own cold deterministic re-solve.
 	Reference *letopt.Result
@@ -26,22 +26,29 @@ type OptimalOptions struct {
 	Slots int
 }
 
-// CheckOptimal certifies a MILP result whose engine does not replay a
-// deterministic trajectory — milp.Params.FastSearch, whose node order,
-// steal pattern and incumbent publications depend on goroutine
-// scheduling. The deterministic engine is audited by replay: kernel
-// goldens pin its nodes and LP iterations, and its whole result is
-// bit-identical at every worker count (warm and cold runs are held only
-// to the same optimum). FastSearch has no trajectory to replay, so its
-// contract is certified per result:
+// CheckOptimal certifies a MILP result whose search does not replay a
+// deterministic trajectory — milp.Params.FastSearch on several workers,
+// whose node order, steal pattern and incumbent publications depend on
+// goroutine scheduling. The default one-worker search is audited by
+// replay: kernel goldens pin its nodes and LP iterations, and its whole
+// result is bit-identical at every worker count (warm and cold runs are
+// held only to the same optimum). FastSearch has no trajectory to replay,
+// so its contract is certified per result:
 //
 //  1. the decoded incumbent is replayed against the paper's feasibility
 //     conditions (Constraints 1-10 / Properties 1-3) via CheckSolution;
 //  2. the self-reported objective must equal the oracle's recomputation
 //     from the schedule (Eqs. (4)-(6)) — a solver cannot grade itself;
 //  3. a claimed StatusOptimal must come with a closed gap; and
-//  4. the claimed status and optimum are cross-checked against an
-//     independent deterministic-engine solve of the same instance.
+//  4. the claimed status and optimum are cross-checked against a
+//     deterministic solve of the same instance.
+//
+// The cross-check runs the same branch-and-bound loop at one worker, so it
+// is not independent of the search code: it catches any error that depends
+// on scheduling (a lost incumbent publication, a steal that drops a node, a
+// racing bound snapshot), not a fault both runs share. The independent
+// oracles for the loop itself are the enumeration test
+// (TestRandomMILPvsEnumeration) and the golden corpus objectives.
 //
 // An undecided side (either engine stopping on a limit) proves nothing
 // and skips the cross-check rather than flagging it; the incumbent
@@ -97,7 +104,7 @@ func CheckOptimal(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dm
 		ref = r
 	}
 	if ref.Status != milp.StatusOptimal && ref.Status != milp.StatusInfeasible {
-		return vs // the reference engine could not decide within its limit
+		return vs // the reference solve could not decide within its limit
 	}
 	if res.Status != ref.Status {
 		vs.Addf(violation.Objective, "Differential",

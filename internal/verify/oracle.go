@@ -19,6 +19,7 @@ import (
 	"letdma/internal/dma"
 	"letdma/internal/let"
 	"letdma/internal/model"
+	"letdma/internal/ordered"
 	"letdma/internal/timeutil"
 	"letdma/internal/violation"
 )
@@ -274,7 +275,7 @@ func CheckSolution(a *let.Analysis, cm dma.CostModel, layout *dma.Layout, sched 
 				}
 			}
 			if t == 0 {
-				for _, tid := range gammaOrder(gamma) {
+				for _, tid := range ordered.Keys(gamma) {
 					if lam[tid] > gamma[tid] {
 						vs.Addf(violation.Deadline, "Constraint 9",
 							"task %s: lambda=%v > gamma=%v", a.Sys.Task(tid).Name, lam[tid], gamma[tid])
@@ -399,22 +400,9 @@ func expectedComms(sys *model.System) map[let.Comm][]timeutil.Time {
 				}
 				prev = v
 			}
-			out[let.Comm{Kind: let.Read, Task: cons.ID, Label: sl.Label.ID}] = sortedTimes(readSet)
+			out[let.Comm{Kind: let.Read, Task: cons.ID, Label: sl.Label.ID}] = ordered.Keys(readSet)
 		}
-		out[let.Comm{Kind: let.Write, Task: sl.Producer.ID, Label: sl.Label.ID}] = sortedTimes(writeSet)
-	}
-	return out
-}
-
-func sortedTimes(set map[timeutil.Time]bool) []timeutil.Time {
-	out := make([]timeutil.Time, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
+		out[let.Comm{Kind: let.Write, Task: sl.Producer.ID, Label: sl.Label.ID}] = ordered.Keys(writeSet)
 	}
 	return out
 }
@@ -438,19 +426,4 @@ func preview(ts []timeutil.Time) []timeutil.Time {
 		return ts
 	}
 	return ts[:8]
-}
-
-// gammaOrder returns gamma's task IDs in increasing order for
-// deterministic violation lists.
-func gammaOrder(gamma dma.Deadlines) []model.TaskID {
-	out := make([]model.TaskID, 0, len(gamma))
-	for id := range gamma {
-		out = append(out, id)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
 }
